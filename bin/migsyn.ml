@@ -93,11 +93,7 @@ let obs_term =
     const make $ trace_arg $ metrics_arg $ flame_arg $ flame_weight_arg
     $ ledger_arg)
 
-let write_text path text =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text)
+let read_text path = In_channel.with_open_bin path In_channel.input_all
 
 (* Run [f] with the Obs layer switched on when any export flag was given,
    and write the requested artifacts even if [f] fails partway.  The run
@@ -129,7 +125,7 @@ let with_obs ~sub opts f =
     | None -> ());
     (match opts.o_flame with
     | Some path ->
-        write_text path (Obs.collapsed_stacks ~weight:opts.o_flame_weight ());
+        Io.Export.write_file path (Obs.collapsed_stacks ~weight:opts.o_flame_weight ());
         Format.printf "wrote flame %s@." path
     | None -> ());
     match opts.o_ledger with
@@ -148,29 +144,6 @@ let with_obs ~sub opts f =
 
 let ctx = Obs.Manifest.add_context
 let res = Obs.Manifest.add_result
-
-let parse_netlist path =
-  let wrap line msg = failwith (Printf.sprintf "%s:%d: %s" path line msg) in
-  try
-    match Filename.extension path with
-    | ".blif" -> Io.Blif.parse_file path
-    | ".bench" -> Io.Bench_format.parse_file path
-    | ".pla" -> Io.Pla.parse_file path
-    | ".aag" -> Io.Aiger.parse_file path
-    | ".aig" -> Io.Aiger.parse_binary_file path
-    | "" ->
-        failwith
-          (path ^ ": missing extension (expected .blif, .bench, .pla, .aag or .aig)")
-    | ext ->
-        failwith
-          (Printf.sprintf
-             "%s: unsupported netlist extension %s (expected .blif, .bench, .pla, .aag or .aig)"
-             path ext)
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
 
 let input_arg =
   Arg.(
@@ -220,8 +193,9 @@ let realization_arg =
     & info [ "r"; "realization" ] ~docv:"R" ~doc:"RRAM realization: imp or maj.")
 
 (* --arch stays a raw string through cmdliner and is validated inside each
-   subcommand so the diagnostic follows the `migsyn <sub>: error: ...`
-   convention (cmdliner's conv errors carry only the tool name). *)
+   subcommand (see [parse_arch]) so the diagnostic follows the
+   `migsyn <sub>: error: ...` convention (cmdliner's conv errors carry only
+   the tool name). *)
 let arch_arg =
   Arg.(
     value
@@ -234,25 +208,10 @@ let arch_arg =
            crossbar geometry packs independent same-level gates into \
            parallel pulse waves, one gate pulse per row per step.")
 
-(* Compile_mig.compile wraps crossbar mapping errors as
-   [Invalid_argument "Compile_mig.compile: ..."]; the internal prefix is
-   noise in a user-facing diagnostic. *)
-let strip_compile_prefix msg =
-  let prefix = "Compile_mig.compile: " in
-  let plen = String.length prefix in
-  if String.length msg >= plen && String.sub msg 0 plen = prefix then
-    String.sub msg plen (String.length msg - plen)
-  else msg
-
-let parse_arch_or_fail ~sub arch =
-  match arch with
+let parse_arch = function
   | None -> Core.Rram_cost.Unbounded_serial
   | Some text -> (
-      match Core.Rram_cost.parse_arch text with
-      | Ok a -> a
-      | Error e ->
-          prerr_endline ("migsyn " ^ sub ^ ": error: " ^ e);
-          exit 1)
+      match Core.Rram_cost.parse_arch text with Ok a -> a | Error e -> failwith e)
 
 let jobs_arg =
   Arg.(
@@ -273,7 +232,7 @@ let stats_cmd =
   let run obs path =
     with_obs ~sub:"stats" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     Format.printf "network: %a@." Logic.Network.pp_stats net;
     let mig = Core.Mig_of_network.convert net in
     let lv = Core.Mig_levels.compute mig in
@@ -309,7 +268,7 @@ let optimize_cmd =
     ctx "input" (Obs.Json.String path);
     ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
     ctx "effort" (Obs.Json.Int effort);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_of_network.convert net in
     let before_imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp mig in
     let optimized = Core.Mig_opt.run ~effort alg mig in
@@ -330,7 +289,8 @@ let optimize_cmd =
     match out with
     | None -> ()
     | Some f ->
-        Io.Blif.write_file ~model_name:"optimized" f (Core.Mig_to_network.export optimized);
+        Io.Export.write_file f
+          (Io.Blif.write_string ~model_name:"optimized" (Core.Mig_to_network.export optimized));
         Format.printf "wrote %s@." f
   in
   Cmd.v
@@ -408,16 +368,6 @@ let flow_cmd =
             "Input netlist (.blif, .bench, .pla, .aag or .aig); not needed \
              with --list-passes.")
   in
-  (* Flow-script problems are user errors, not internal ones: report them as
-     `migsyn flow: error: ...` (with the byte position and a did-you-mean
-     suggestion from the parser) and exit 1, per the CLI error convention. *)
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        prerr_endline ("migsyn flow: error: " ^ msg);
-        exit 1)
-      fmt
-  in
   let list_passes () =
     Format.printf "passes (usable in flow scripts; see also 'cycle', 'every', \
                    'accept_if'):@.";
@@ -429,7 +379,7 @@ let flow_cmd =
     Format.printf "@.accept_if costs (checkpoint/rollback guards):@.";
     List.iter
       (fun (name, _) -> Format.printf "  %s@." name)
-      Core.Mig_flows.costs;
+      (Core.Mig_flows.costs ());
     Format.printf
       "@.canonical algorithm scripts (what 'migsyn optimize -a NAME' runs):@.";
     List.iter
@@ -444,23 +394,14 @@ let flow_cmd =
     with_obs ~sub:"flow" obs @@ fun () ->
     if list then list_passes ()
     else begin
-      let script_of_file f =
-        let ic = open_in_bin f in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+      let path =
+        match input with Some p -> p | None -> failwith "missing NETLIST argument"
       in
-      let path = match input with Some p -> p | None -> fail "missing NETLIST argument" in
       ctx "input" (Obs.Json.String path);
       ctx "effort" (Obs.Json.Int effort);
-      let arch = parse_arch_or_fail ~sub:"flow" arch in
+      let arch = parse_arch arch in
       ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-      (* The xbar_* accept_if costs read the flow-level architecture, so it
-         must be set before any script is parsed or raced. *)
-      (match arch with
-      | Core.Rram_cost.Crossbar _ -> Core.Mig_flows.set_arch arch
-      | Core.Rram_cost.Unbounded_serial -> ());
-      let net = parse_netlist path in
+      let net = Io.Netlist.read_file path in
       let mig = Core.Mig_of_network.convert net in
       let before_size, before_depth = Core.Mig_passes.size_and_depth mig in
       let optimized =
@@ -468,20 +409,20 @@ let flow_cmd =
           let specs =
             match (scripts, file) with
             | [], None -> Core.Mig_flows.default_portfolio ~effort ()
-            | [], Some f -> [ (Filename.basename f, script_of_file f) ]
+            | [], Some f -> [ (Filename.basename f, read_text f) ]
             | scripts, None ->
                 List.mapi
                   (fun i s -> (Printf.sprintf "script%d" (i + 1), s))
                   scripts
-            | _ :: _, Some _ -> fail "--script and --file are mutually exclusive"
+            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
           in
           let jobs = resolve_jobs jobs in
           ctx "jobs" (Obs.Json.Int jobs);
           ctx "portfolio" (Obs.Json.Int (List.length specs));
           ctx "cost" (Obs.Json.String cost);
           let winner, outcomes =
-            try Core.Mig_flows.portfolio ~jobs ~cost specs mig
-            with Invalid_argument msg -> fail "%s" msg
+            try Core.Mig_flows.portfolio ~arch ~jobs ~cost specs mig
+            with Invalid_argument msg -> failwith msg
           in
           (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
           | Some o ->
@@ -502,15 +443,15 @@ let flow_cmd =
           let text =
             match (scripts, file) with
             | [ s ], None -> s
-            | [], Some f -> script_of_file f
-            | _ :: _ :: _, _ -> fail "repeated --script requires --portfolio"
-            | _ :: _, Some _ -> fail "--script and --file are mutually exclusive"
-            | [], None -> fail "one of --script, --file or --list-passes is required"
+            | [], Some f -> read_text f
+            | _ :: _ :: _, _ -> failwith "repeated --script requires --portfolio"
+            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
+            | [], None -> failwith "one of --script, --file or --list-passes is required"
           in
           let flow =
-            match Core.Mig_flows.parse text with
+            match Core.Mig_flows.parse ~arch text with
             | Ok flow -> flow
-            | Error e -> fail "%a" Flow.Script.pp_error e
+            | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e)
           in
           let result = Core.Mig_flows.run ~name:"script" flow mig in
           Format.printf "flow: %s@." (Flow.Script.to_string flow);
@@ -528,7 +469,7 @@ let flow_cmd =
         (fun realization ->
           let r =
             try Rram.Compile_mig.compile ~arch realization optimized
-            with Invalid_argument msg -> fail "%s" (strip_compile_prefix msg)
+            with Invalid_argument msg -> failwith msg
           in
           let verdict =
             if no_verify then ""
@@ -556,7 +497,8 @@ let flow_cmd =
       match dump_out with
       | None -> ()
       | Some f ->
-          Io.Blif.write_file ~model_name:"flow" f (Core.Mig_to_network.export optimized);
+          Io.Export.write_file f
+            (Io.Blif.write_string ~model_name:"flow" (Core.Mig_to_network.export optimized));
           Format.printf "wrote %s@." f
     end
   in
@@ -586,9 +528,9 @@ let map_cmd =
     ctx "input" (Obs.Json.String path);
     ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
     ctx "effort" (Obs.Json.Int effort);
-    let arch = parse_arch_or_fail ~sub:"map" arch in
+    let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
     let program, placement =
       match arch with
@@ -605,9 +547,7 @@ let map_cmd =
           (r.Rram.Compile_mig.program, Rram.Placement.place r.Rram.Compile_mig.program)
       | Core.Rram_cost.Crossbar _ -> (
           match Rram.Compile_crossbar.compile ~arch realization mig with
-          | Error e ->
-              prerr_endline ("migsyn map: error: " ^ e);
-              exit 1
+          | Error e -> failwith e
           | Ok c ->
               let m = c.Rram.Compile_crossbar.measured in
               res "rrams" (Obs.Json.Int m.Core.Rram_cost.devices);
@@ -657,7 +597,7 @@ let compare_cmd =
     with_obs ~sub:"compare" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "effort" (Obs.Json.Int effort);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_of_network.convert net in
     let rram_maj = Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj mig in
     let rram_imp = Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Imp mig in
@@ -700,7 +640,7 @@ let plim_cmd =
   let run obs path alg effort dump =
     with_obs ~sub:"plim" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
     let c = Rram.Plim.compile mig in
     res "rm3_instructions" (Obs.Json.Int c.Rram.Plim.instructions);
@@ -722,18 +662,13 @@ let plim_cmd =
 (* ---------------- export ---------------- *)
 
 let export_cmd =
-  let format_conv =
-    let parse = function
-      | ("dot" | "verilog" | "blif" | "bench" | "aag" | "aig") as s -> Ok s
-      | s -> Error (`Msg ("unknown export format " ^ s))
-    in
-    Arg.conv (parse, Format.pp_print_string)
-  in
   let format_arg =
+    let formats = "dot" :: "verilog" :: Io.Netlist.output_formats in
     Arg.(
-      value & opt format_conv "dot"
+      value
+      & opt (enum (List.map (fun f -> (f, f)) formats)) "dot"
       & info [ "f"; "format" ] ~docv:"FMT"
-          ~doc:"Output format: dot, verilog, blif, bench, aag or aig.")
+          ~doc:("Output format: " ^ String.concat ", " formats ^ "."))
   in
   let out_arg =
     Arg.(
@@ -744,21 +679,15 @@ let export_cmd =
     with_obs ~sub:"export" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "format" (Obs.Json.String fmt);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
     let contents =
       match fmt with
       | "dot" -> Io.Export.mig_to_dot mig
       | "verilog" -> Io.Export.mig_to_verilog ~module_name:"mig" mig
-      | "blif" -> Io.Blif.write_string ~model_name:"mig" (Core.Mig_to_network.export mig)
-      | "bench" -> Io.Bench_format.write_string (Core.Mig_to_network.export mig)
-      | "aag" ->
-          Io.Aiger.write_aig
-            (Aig_lib.Aig_of_network.convert (Core.Mig_to_network.export mig))
-      | "aig" ->
-          Io.Aiger.write_aig_binary
-            (Aig_lib.Aig_of_network.convert (Core.Mig_to_network.export mig))
-      | _ -> assert false
+      | netlist ->
+          Io.Netlist.write_string ~model_name:"mig" netlist
+            (Core.Mig_to_network.export mig)
     in
     Io.Export.write_file out contents;
     Format.printf "wrote %s (%s) after %s optimization@." out fmt
@@ -834,19 +763,7 @@ let gen_cmd =
             let outputs = if outputs = 0 then max 8 (gates / 128) else outputs in
             Io.Gen.random_network ~name:seed ~inputs ~gates ~outputs ())
     in
-    let contents =
-      match Filename.extension out with
-      | ".blif" -> Io.Blif.write_string ~model_name:seed net
-      | ".bench" -> Io.Bench_format.write_string net
-      | ".aag" -> Io.Aiger.write_network net
-      | ".aig" -> Io.Aiger.write_network_binary net
-      | ext ->
-          failwith
-            (Printf.sprintf
-               "%s: unsupported output extension %s (expected .blif, .bench, .aag or .aig)"
-               out ext)
-    in
-    write_text out contents;
+    Io.Netlist.write_file ~model_name:seed out net;
     res "gates" (Obs.Json.Int (Logic.Network.num_gates net));
     res "inputs" (Obs.Json.Int (Logic.Network.num_inputs net));
     res "outputs" (Obs.Json.Int (Logic.Network.num_outputs net));
@@ -897,7 +814,7 @@ let faults_cmd =
     ctx "rate" (Obs.Json.Float rate);
     ctx "trials" (Obs.Json.Int trials);
     ctx "seed" (Obs.Json.Int seed);
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
     let r = Rram.Compile_mig.compile realization mig in
     let program = r.Rram.Compile_mig.program in
@@ -1050,7 +967,7 @@ let montecarlo_cmd =
     ctx "jobs" (Obs.Json.Int (Option.value config.jobs ~default:1));
     ctx "sigmas"
       (Obs.Json.List (List.map (fun s -> Obs.Json.Float s) config.sigmas));
-    let net = parse_netlist path in
+    let net = Io.Netlist.read_file path in
     let campaign = run ~config ~name:(Filename.basename path) net in
     (* Manifest summary: per-sigma yield of every arm — the campaign's
        deterministic signature, comparable across runs by migsyn report. *)
@@ -1109,20 +1026,18 @@ let profile_cmd =
     with_obs ~sub:"profile" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "effort" (Obs.Json.Int effort);
-    let arch = parse_arch_or_fail ~sub:"profile" arch in
+    let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
     let flow =
       Option.map
         (fun text ->
-          match Core.Mig_flows.parse text with
+          match Core.Mig_flows.parse ~arch text with
           | Ok flow -> flow
-          | Error e ->
-              Format.eprintf "migsyn profile: error: %a@." Flow.Script.pp_error e;
-              exit 1)
+          | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e))
         flow_script
     in
     let net =
-      Obs.with_span ~cat:"profile" "profile/parse" (fun () -> parse_netlist path)
+      Obs.with_span ~cat:"profile" "profile/parse" (fun () -> Io.Netlist.read_file path)
     in
     let mig = Core.Mig_of_network.convert net in
     let initial_size, initial_depth = Core.Mig.size mig, (Core.Mig_levels.compute mig).Core.Mig_levels.depth in
@@ -1140,10 +1055,7 @@ let profile_cmd =
     let compiled =
       Obs.with_span ~cat:"profile" "profile/compile" (fun () ->
           try Rram.Compile_mig.compile ~arch realization optimized
-          with Invalid_argument msg ->
-            prerr_endline
-              ("migsyn profile: error: " ^ strip_compile_prefix msg);
-            exit 1)
+          with Invalid_argument msg -> failwith msg)
     in
     let program = compiled.Rram.Compile_mig.program in
     let reference = Core.Mig_sim.eval optimized in
@@ -1247,9 +1159,7 @@ let crossbar_cmd =
             (fun n ->
               match Io.Benchmarks.find n with
               | Some e -> e
-              | None ->
-                  prerr_endline ("migsyn crossbar: error: unknown benchmark " ^ n);
-                  exit 1)
+              | None -> failwith ("unknown benchmark " ^ n))
             names
     in
     let t = Exp.Crossbar.run ~effort ~realization ~jobs ~entries () in
@@ -1370,7 +1280,7 @@ let report_cmd =
         (Obs.Json.Int (List.length report.Exp.Report.rp_regressions));
       (match md with
       | Some file ->
-          write_text file (Exp.Report.to_markdown report);
+          Io.Export.write_file file (Exp.Report.to_markdown report);
           Format.printf "wrote report %s@." file
       | None -> ());
       (match json with
@@ -1432,61 +1342,51 @@ let serve_cmd =
              $(b,oversized) error instead of being parsed.")
   in
   let run obs socket jobs cache_mb max_request_mb =
-    try
-      with_obs ~sub:"serve" obs @@ fun () ->
-      if cache_mb < 1 then
-        failwith
-          (Printf.sprintf "--cache-mb must be at least 1 (got %d)" cache_mb);
-      if max_request_mb < 1 then
-        failwith
-          (Printf.sprintf "--max-request-mb must be at least 1 (got %d)"
-             max_request_mb);
-      let jobs = resolve_jobs jobs in
-      ctx "socket" (Obs.Json.String socket);
-      ctx "jobs" (Obs.Json.Int jobs);
-      ctx "cache_mb" (Obs.Json.Int cache_mb);
-      let stop = ref false in
-      let on_signal _ = stop := true in
-      (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-       with Invalid_argument _ | Sys_error _ -> ());
-      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-       with Invalid_argument _ | Sys_error _ -> ());
-      let cfg =
-        {
-          Serve.Server.socket_path = socket;
-          jobs;
-          cache_budget_bytes = cache_mb * 1024 * 1024;
-          max_request_bytes = max_request_mb * 1024 * 1024;
-          stop = (fun () -> !stop);
-          on_listening =
-            (fun () ->
-              Format.printf "migsyn serve: listening on %s (jobs=%d)@." socket
-                jobs;
-              (* tools waiting for readiness watch stdout *)
-              flush stdout);
-        }
-      in
-      let s =
-        try Serve.Server.run cfg
-        with Unix.Unix_error (err, fn, arg) ->
-          failwith
-            (Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
-               (if arg = "" then "" else " (" ^ arg ^ ")"))
-      in
-      let c = s.Serve.Server.cache in
-      Format.printf
-        "migsyn serve: shutting down: %d requests (%d ok, %d errors) in %d \
-         batches (max batch %d)@."
-        s.Serve.Server.requests s.Serve.Server.ok s.Serve.Server.errors
-        s.Serve.Server.batches s.Serve.Server.max_batch;
-      Format.printf
-        "migsyn serve: cache: %d hits, %d misses, %d coalesced, %d evictions, \
-         %d entries, %d bytes@."
-        c.Serve.Cache.hits c.Serve.Cache.misses c.Serve.Cache.coalesced
-        c.Serve.Cache.evictions c.Serve.Cache.entries c.Serve.Cache.bytes
-    with Failure msg ->
-      prerr_endline ("migsyn serve: error: " ^ msg);
-      exit 1
+    with_obs ~sub:"serve" obs @@ fun () ->
+    if cache_mb < 1 then
+      failwith
+        (Printf.sprintf "--cache-mb must be at least 1 (got %d)" cache_mb);
+    if max_request_mb < 1 then
+      failwith
+        (Printf.sprintf "--max-request-mb must be at least 1 (got %d)"
+           max_request_mb);
+    let jobs = resolve_jobs jobs in
+    ctx "socket" (Obs.Json.String socket);
+    ctx "jobs" (Obs.Json.Int jobs);
+    ctx "cache_mb" (Obs.Json.Int cache_mb);
+    let stop = ref false in
+    let on_signal _ = stop := true in
+    (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
+     with Invalid_argument _ | Sys_error _ -> ());
+    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
+     with Invalid_argument _ | Sys_error _ -> ());
+    let cfg =
+      {
+        Serve.Server.socket_path = socket;
+        jobs;
+        cache_budget_bytes = cache_mb * 1024 * 1024;
+        max_request_bytes = max_request_mb * 1024 * 1024;
+        stop = (fun () -> !stop);
+        on_listening =
+          (fun () ->
+            Format.printf "migsyn serve: listening on %s (jobs=%d)@." socket
+              jobs;
+            (* tools waiting for readiness watch stdout *)
+            flush stdout);
+      }
+    in
+    let s = Serve.Server.run cfg in
+    let c = s.Serve.Server.cache in
+    Format.printf
+      "migsyn serve: shutting down: %d requests (%d ok, %d errors) in %d \
+       batches (max batch %d)@."
+      s.Serve.Server.requests s.Serve.Server.ok s.Serve.Server.errors
+      s.Serve.Server.batches s.Serve.Server.max_batch;
+    Format.printf
+      "migsyn serve: cache: %d hits, %d misses, %d coalesced, %d evictions, \
+       %d entries, %d bytes@."
+      c.Serve.Cache.hits c.Serve.Cache.misses c.Serve.Cache.coalesced
+      c.Serve.Cache.evictions c.Serve.Cache.entries c.Serve.Cache.bytes
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1600,7 +1500,7 @@ let client_cmd =
   in
   let run obs socket op netlist flows algorithm effort jobs cost arch
       realization no_verify inline repeat stable id =
-    try
+    let saw_error =
       with_obs ~sub:"client" obs @@ fun () ->
       if repeat < 1 then
         failwith (Printf.sprintf "--repeat must be at least 1 (got %d)" repeat);
@@ -1616,20 +1516,9 @@ let client_cmd =
               | None -> failwith "synth requests need a NETLIST argument"
             in
             let circuit =
-              if inline then begin
-                let format =
-                  match Filename.extension path with
-                  | "" -> failwith (path ^ ": missing extension")
-                  | ext -> String.sub ext 1 (String.length ext - 1)
-                in
-                let ic = open_in_bin path in
-                let source =
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () -> really_input_string ic (in_channel_length ic))
-                in
-                Serve.Protocol.Inline { format; source }
-              end
+              if inline then
+                Serve.Protocol.Inline
+                  { format = Io.Netlist.format_of_path path; source = read_text path }
               else Serve.Protocol.File path
             in
             {
@@ -1676,10 +1565,9 @@ let client_cmd =
         print_endline (Obs.Json.to_string shown)
       done;
       Serve.Client.close conn;
-      if !saw_error then exit 1
-    with Failure msg ->
-      prerr_endline ("migsyn client: error: " ^ msg);
-      exit 1
+      !saw_error
+    in
+    if saw_error then exit 1
   in
   Cmd.v
     (Cmd.info "client"
@@ -1725,42 +1613,43 @@ let () =
      instead of a missing-COMMAND error. *)
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let group = Cmd.group ~default info subcommands in
-  (* Cmdliner prefixes its diagnostics with the tool name only; capture them
-     and name the offending subcommand too, so `migsyn map --bogus` fails
-     with `migsyn map: unknown option '--bogus'`. *)
+  (* Every diagnostic names the subcommand: `migsyn map: error: ...` for a
+     user error raised anywhere below, and cmdliner's own messages (which
+     carry only the tool name) are captured and renamed the same way, so
+     `migsyn map --bogus` fails with `migsyn map: unknown option '--bogus'`. *)
+  let tool =
+    if Array.length Sys.argv > 1 && List.mem Sys.argv.(1) (List.map Cmd.name subcommands)
+    then "migsyn " ^ Sys.argv.(1)
+    else "migsyn"
+  in
   let err_buf = Buffer.create 256 in
   let err_fmt = Format.formatter_of_buffer err_buf in
   let flush_err () =
     Format.pp_print_flush err_fmt ();
     let msg = Buffer.contents err_buf in
     Buffer.clear err_buf;
-    if msg <> "" then begin
-      let sub_names = List.map Cmd.name subcommands in
-      let renamed =
-        if Array.length Sys.argv > 1 && List.mem Sys.argv.(1) sub_names then
-          let prefix = "migsyn: " in
-          let plen = String.length prefix in
-          if String.length msg >= plen && String.sub msg 0 plen = prefix then
-            Printf.sprintf "migsyn %s: %s" Sys.argv.(1)
-              (String.sub msg plen (String.length msg - plen))
-          else msg
-        else msg
-      in
-      prerr_string renamed;
-      flush stderr
-    end
+    let prefix = "migsyn: " in
+    let plen = String.length prefix in
+    if String.length msg >= plen && String.sub msg 0 plen = prefix then
+      prerr_string (tool ^ ": " ^ String.sub msg plen (String.length msg - plen))
+    else prerr_string msg;
+    flush stderr
   in
-  (* Expected failures (bad netlists, verification mismatches) exit with a
-     one-line diagnostic instead of an OCaml backtrace. *)
+  (* User errors (bad netlists, flow scripts, geometries, option values,
+     verification mismatches) are raised, not printed where they occur, so
+     with_obs still writes the requested --ledger/--trace/--metrics/--flame
+     files; they end here as one line and exit 1 instead of a backtrace. *)
+  let fail msg =
+    flush_err ();
+    prerr_endline (tool ^ ": error: " ^ msg);
+    exit 1
+  in
   match Cmd.eval ~catch:false ~err:err_fmt group with
   | code ->
       flush_err ();
       exit code
-  | exception Failure msg ->
-      flush_err ();
-      prerr_endline ("migsyn: error: " ^ msg);
-      exit 1
-  | exception Sys_error msg ->
-      flush_err ();
-      prerr_endline ("migsyn: error: " ^ msg);
-      exit 1
+  | exception (Failure msg | Sys_error msg | Io.Netlist.Error msg) -> fail msg
+  | exception Unix.Unix_error (err, fn, arg) ->
+      fail
+        (Printf.sprintf "%s: %s%s" fn (Unix.error_message err)
+           (if arg = "" then "" else " (" ^ arg ^ ")"))

@@ -1,4 +1,4 @@
-(* Full file-based flow: parse a netlist (BLIF, .bench, PLA or ASCII AIGER,
+(* Full file-based flow: parse a netlist (BLIF, .bench, PLA or AIGER,
    auto-detected by extension), optimize with all four algorithms, map to
    RRAMs, verify on the device simulator, and write the best result back
    out as a majority-gate BLIF.
@@ -9,21 +9,13 @@
 let demo_path = "/tmp/mig_rram_demo.blif"
 
 let demo () =
-  Io.Blif.write_file ~model_name:"demo_rd73" demo_path (Logic.Funcgen.rd 7 3);
+  Io.Netlist.write_file ~model_name:"demo_rd73" demo_path (Logic.Funcgen.rd 7 3);
   demo_path
-
-let parse path =
-  match Filename.extension path with
-  | ".blif" -> Io.Blif.parse_file path
-  | ".bench" -> Io.Bench_format.parse_file path
-  | ".pla" -> Io.Pla.parse_file path
-  | ".aag" -> Io.Aiger.parse_file path
-  | ext -> failwith ("unknown netlist extension " ^ ext)
 
 let () =
   let path = if Array.length Sys.argv > 1 then Sys.argv.(1) else demo () in
   Format.printf "reading %s@." path;
-  let net = parse path in
+  let net = Io.Netlist.read_file path in
   Format.printf "network: %a@." Logic.Network.pp_stats net;
   let mig = Core.Mig_of_network.convert net in
   Format.printf "initial MIG: %a@.@." Core.Mig.pp_stats mig;
@@ -48,5 +40,5 @@ let () =
   | Ok () -> Format.printf "@.compiled MAJ program verified on the device simulator@."
   | Error e -> Format.printf "@.VERIFICATION FAILED: %s@." e);
   let out = Filename.remove_extension path ^ "_opt.blif" in
-  Io.Blif.write_file ~model_name:"optimized" out (Core.Mig_to_network.export best);
+  Io.Netlist.write_file ~model_name:"optimized" out (Core.Mig_to_network.export best);
   Format.printf "wrote optimized majority netlist to %s@." out

@@ -98,19 +98,17 @@ let () =
           (rewritten, Mig.size rewritten <> Mig.size mig));
     ]
 
-(* The architecture the xbar_* costs are evaluated against.  Scripts name
-   costs, not geometries, so the concrete target is ambient state set once
-   per run (the CLI's --arch does it before parsing the script); the
-   default keeps the costs meaningful without a flag. *)
-let arch = ref (Rram_cost.Crossbar { rows = 64; columns = 64 })
-let set_arch a = arch := a
+(* The architecture a script's xbar_* costs score against when the caller
+   names none.  Only the perfbench/ harness still moves it. *)
+let default_arch = ref Rram_cost.Unbounded_serial
+let set_arch a = default_arch := a
 
-let costs : (string * (Mig.t -> float)) list =
+let costs ?(arch = !default_arch) () : (string * (Mig.t -> float)) list =
   let cost_field realization f mig =
     float_of_int (f (Rram_cost.of_mig realization mig))
   in
   let xbar realization f mig =
-    f (Rram_cost.triple_of_levels ~arch:!arch realization (Mig_levels.compute mig))
+    f (Rram_cost.triple_of_levels ~arch realization (Mig_levels.compute mig))
   in
   [
     ("size", fun mig -> float_of_int (Mig_analysis.size (Mig_analysis.of_mig mig)));
@@ -128,10 +126,10 @@ let costs : (string * (Mig.t -> float)) list =
     ("xbar_weighted_maj", xbar Rram_cost.Maj (Rram_cost.weighted_triple ?step_weight:None));
   ]
 
-let parse text = Flow.Script.parse ~registry ~costs text
+let parse ?arch text = Flow.Script.parse ~registry ~costs:(costs ?arch ()) text
 
-let parse_exn text =
-  match parse text with
+let parse_exn ?arch text =
+  match parse ?arch text with
   | Ok flow -> flow
   | Error e ->
       invalid_arg (Format.asprintf "flow script %a" Flow.Script.pp_error e)
@@ -161,21 +159,21 @@ let canonical_script ?(effort = Flow.default_effort) name =
 
 let default_cost = "weighted_maj"
 
-let cost_fn name =
-  match List.assoc_opt name costs with
+let cost_fn ?arch name =
+  match List.assoc_opt name (costs ?arch ()) with
   | Some f -> f
   | None ->
       invalid_arg
         (Printf.sprintf "Mig_flows.portfolio: unknown cost '%s'%s" name
-           (match Flow.suggest ~candidates:(List.map fst costs) name with
+           (match Flow.suggest ~candidates:(List.map fst (costs ())) name with
            | Some s -> Printf.sprintf " (did you mean '%s'?)" s
            | None -> ""))
 
-let portfolio ?jobs ?(cost = default_cost) specs mig =
-  let cost = cost_fn cost in
+let portfolio ?arch ?jobs ?(cost = default_cost) specs mig =
+  let cost = cost_fn ?arch cost in
   let entrants =
     List.map
-      (fun (label, script) -> { Flow.label; flow = parse_exn script })
+      (fun (label, script) -> { Flow.label; flow = parse_exn ?arch script })
       specs
   in
   Flow.portfolio ~ops ~span_prefix:"mig.opt" ?jobs ~cost entrants mig

@@ -20,26 +20,33 @@ val ops : Mig.t Flow.ops
     [(size, depth, r_imp, s_imp, r_maj, s_maj)] exactly as {!Mig_opt}
     always recorded. *)
 
-val costs : (string * (Mig.t -> float)) list
+val costs : ?arch:Rram_cost.arch -> unit -> (string * (Mig.t -> float)) list
 (** [accept_if] guard costs: [size], [depth], [rrams_imp], [steps_imp],
     [rrams_maj], [steps_maj], the scalarized [weighted_imp] /
     [weighted_maj] of {!Rram_cost.weighted}, and the crossbar-aware
     [xbar_devices_imp], [xbar_devices_maj], [xbar_latency_imp],
     [xbar_latency_maj] and [xbar_weighted_maj]
-    ({!Rram_cost.triple_of_levels} against the ambient {!set_arch}
-    architecture), so flow scripts can optimize for a concrete array. *)
+    ({!Rram_cost.triple_of_levels} against [arch]), so flow scripts can
+    optimize for a concrete array.  Only the [xbar_*] costs depend on
+    [arch]; it defaults to the {!set_arch} default, [Unbounded_serial]. *)
+
+val parse :
+  ?arch:Rram_cost.arch -> string -> (Mig.t Flow.t, Flow.Script.error) result
+(** Parse a flow script against {!registry} and {!costs} over [arch].  Scripts
+    name costs, not geometries: [arch] is the array the result will be
+    compiled for, and every [xbar_*] guard of the flow scores against it.
+    Two flows parsed with different [arch] values are independent, so they
+    may run concurrently on separate domains. *)
+
+val parse_exn : ?arch:Rram_cost.arch -> string -> Mig.t Flow.t
+(** @raise Invalid_argument with the rendered error on a bad script. *)
 
 val set_arch : Rram_cost.arch -> unit
-(** Set the architecture the [xbar_*] costs are evaluated against
-    (default: a 64×64 crossbar).  The CLI's [--arch] calls this before
-    parsing flow scripts; scripts themselves name costs, not
-    geometries. *)
-
-val parse : string -> (Mig.t Flow.t, Flow.Script.error) result
-(** Parse a flow script against {!registry} and {!costs}. *)
-
-val parse_exn : string -> Mig.t Flow.t
-(** @raise Invalid_argument with the rendered error on a bad script. *)
+(** Set the architecture {!parse}, {!parse_exn} and {!portfolio} use when
+    called without [~arch] (initially [Unbounded_serial]).  This is
+    process-global state, kept only because the benchmark harness in
+    [perfbench/] still calls it; the library, the CLI, the daemon and the
+    tests always pass [~arch] instead. *)
 
 val run : ?name:string -> Mig.t Flow.t -> Mig.t -> Mig.t
 (** {!Flow.run} with span prefix ["mig.opt"], so scripted flows share the
@@ -66,6 +73,7 @@ val default_cost : string
     portfolio race minimizes by default. *)
 
 val portfolio :
+  ?arch:Rram_cost.arch ->
   ?jobs:int ->
   ?cost:string ->
   (string * string) list ->
@@ -74,7 +82,9 @@ val portfolio :
 (** [portfolio specs mig] parses each [(label, script)] spec, races the
     flows on independent copies of [mig], and returns the winning MIG plus
     one outcome per spec in spec order.  [cost] names an entry of {!costs}
-    (default {!default_cost}); [jobs] defaults to [Par.recommended_jobs ()].
+    (default {!default_cost}); [arch] is passed to {!parse} for every script
+    and also scores an [xbar_*] race cost; [jobs] defaults to
+    [Par.recommended_jobs ()].
     The winner is identical for every [jobs] value.
 
     @raise Invalid_argument on a bad script or unknown cost name. *)

@@ -8,16 +8,25 @@ let fail line msg = raise (Parse_error (line, msg))
 (* Shared network construction                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Both readers decode to the same intermediate — output literals plus
-   [(lhs, rhs0, rhs1)] AND definitions in file order — and feed it here, so
-   an [aag] file and its binary twin build bit-identical networks (same
-   node-creation order, same lazily shared negation nodes). *)
-let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
+(* Both readers decode to the same intermediate — input variables, output
+   literals, and [(lhs, rhs0, rhs1)] AND definitions in file order — and
+   feed it here, so an [aag] file and its binary twin build bit-identical
+   networks (same node-creation order, same lazily shared negation nodes).
+   Variables live in a table rather than an array of [M + 1] slots: a
+   header's [M] costs nothing to declare, so it must not size an
+   allocation. *)
+let build_network ~fail ~m ~input_vars ~output_lits ~and_defs =
+  let net = Network.create () in
+  let node_of_var = Hashtbl.create 1024 in
+  Hashtbl.replace node_of_var 0 (Network.const net false);
+  Array.iteri
+    (fun k v -> Hashtbl.replace node_of_var v (Network.add_input net (Printf.sprintf "i%d" k)))
+    input_vars;
   let negations = Hashtbl.create 97 in
   let literal lit =
     let v = lit / 2 in
-    if v > m then fail "literal out of range";
-    let base = node_of_var.(v) in
+    if lit < 0 || v > m then fail "literal out of range";
+    let base = Option.value (Hashtbl.find_opt node_of_var v) ~default:(-1) in
     if base < 0 then fail (Printf.sprintf "undefined variable %d" v);
     if lit land 1 = 0 then base
     else
@@ -32,12 +41,23 @@ let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
   Array.iter
     (fun (lhs, r0, r1) ->
       let id = Network.and2 net (literal r0) (literal r1) in
-      node_of_var.(lhs / 2) <- id)
+      Hashtbl.replace node_of_var (lhs / 2) id)
     and_defs;
   Array.iteri
     (fun k lit -> Network.add_output net (Printf.sprintf "o%d" k) (literal lit))
     output_lits;
   net
+
+(* The five header counts [M I L O A], each a non-negative integer. *)
+let header_counts tag fields =
+  match fields with
+  | [ t; m; i; l; o; a ] when t = tag -> (
+      match List.map int_of_string_opt [ m; i; l; o; a ] with
+      | [ Some m; Some i; Some l; Some o; Some a ]
+        when List.for_all (fun c -> c >= 0) [ m; i; l; o; a ] ->
+          Some (m, i, l, o, a)
+      | _ -> None)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* ASCII reader                                                        *)
@@ -45,41 +65,47 @@ let build_network ~fail net node_of_var ~m ~output_lits ~and_defs =
 
 let parse_string text =
   let lines = String.split_on_char '\n' text |> Array.of_list in
-  if Array.length lines = 0 then fail 1 "empty file";
   let header =
     String.split_on_char ' ' (String.trim lines.(0)) |> List.filter (fun s -> s <> "")
   in
   let m, i, l, o, a =
-    match header with
-    | [ "aag"; m; i; l; o; a ] ->
-        (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> fail 1 "expected 'aag M I L O A' header"
+    match header_counts "aag" header with
+    | Some counts -> counts
+    | None -> fail 1 "expected 'aag M I L O A' header"
   in
   if l <> 0 then fail 1 "latches are not supported (combinational subset)";
-  let net = Network.create () in
-  (* var -> network node of the positive literal *)
-  let node_of_var = Array.make (m + 1) (-1) in
-  let const0 = Network.const net false in
-  node_of_var.(0) <- const0;
+  (* every input, output and AND takes a line of its own: reject counts the
+     text cannot hold before anything is sized by them *)
+  let body = Array.length lines - 1 in
+  if i > body || o > body - i || a > body - i - o then
+    fail 1
+      (Printf.sprintf "header declares %d inputs, %d outputs and %d ANDs but only %d lines follow"
+         i o a body);
   let line_no = ref 1 in
   let next_line () =
     incr line_no;
-    if !line_no - 1 >= Array.length lines then fail !line_no "unexpected end of file";
     String.trim lines.(!line_no - 1)
   in
   let ints s =
     String.split_on_char ' ' s
     |> List.filter (fun x -> x <> "")
-    |> List.map int_of_string
+    |> List.map (fun x ->
+           match int_of_string_opt x with
+           | Some v -> v
+           | None -> fail !line_no (Printf.sprintf "bad literal %S" x))
   in
-  (* inputs *)
-  for k = 0 to i - 1 do
-    let lit =
-      match ints (next_line ()) with [ v ] -> v | _ -> fail !line_no "bad input line"
-    in
-    if lit land 1 = 1 then fail !line_no "negated input definition";
-    node_of_var.(lit / 2) <- Network.add_input net (Printf.sprintf "i%d" k)
-  done;
+  (* a defining literal is positive, non-constant and within M *)
+  let defined what lit =
+    if lit land 1 = 1 then fail !line_no ("negated " ^ what ^ " definition");
+    if lit < 2 || lit / 2 > m then fail !line_no (what ^ " literal out of range");
+    lit / 2
+  in
+  let input_vars =
+    Array.init i (fun _ ->
+        match ints (next_line ()) with
+        | [ v ] -> defined "input" v
+        | _ -> fail !line_no "bad input line")
+  in
   (* outputs (literals resolved after ANDs are read) *)
   let output_lits =
     Array.init o (fun _ ->
@@ -92,11 +118,11 @@ let parse_string text =
     Array.init a (fun _ ->
         match ints (next_line ()) with
         | [ lhs; r0; r1 ] ->
-            if lhs land 1 = 1 then fail !line_no "negated AND definition";
+            ignore (defined "AND" lhs);
             (lhs, r0, r1)
         | _ -> fail !line_no "bad AND line")
   in
-  build_network ~fail:(fail 0) net node_of_var ~m ~output_lits ~and_defs
+  build_network ~fail:(fail 0) ~m ~input_vars ~output_lits ~and_defs
 
 (* ------------------------------------------------------------------ *)
 (* Binary reader                                                       *)
@@ -123,22 +149,20 @@ let parse_binary_string text =
     |> List.filter (fun s -> s <> "")
   in
   let m, i, l, o, a =
-    match header with
-    | [ "aig"; m; i; l; o; a ] -> (
-        try
-          (int_of_string m, int_of_string i, int_of_string l, int_of_string o,
-           int_of_string a)
-        with Failure _ -> fail "expected 'aig M I L O A' header")
-    | _ -> fail "expected 'aig M I L O A' header"
+    match header_counts "aig" header with
+    | Some counts -> counts
+    | None -> fail "expected 'aig M I L O A' header"
   in
   if l <> 0 then fail "latches are not supported (combinational subset)";
-  if m < i + a then fail "header M smaller than I + A";
-  let net = Network.create () in
-  let node_of_var = Array.make (m + 1) (-1) in
-  node_of_var.(0) <- Network.const net false;
-  for k = 0 to i - 1 do
-    node_of_var.(k + 1) <- Network.add_input net (Printf.sprintf "i%d" k)
-  done;
+  if i > m || a > m - i then fail "header M smaller than I + A";
+  (* each output line takes at least one byte and each AND two delta
+     bytes; the inputs are implicit and cost none *)
+  let rest = len - !pos in
+  if o > rest || a > (rest - o) / 2 then
+    fail
+      (Printf.sprintf "header declares %d outputs and %d ANDs but only %d bytes follow"
+         o a rest);
+  let input_vars = Array.init i (fun k -> k + 1) in
   let output_lits =
     Array.init o (fun _ ->
         match int_of_string_opt (String.trim (read_line ())) with
@@ -167,14 +191,9 @@ let parse_binary_string text =
         if rhs1 < 0 then fail "AND delta out of range";
         (lhs, rhs0, rhs1))
   in
-  build_network ~fail net node_of_var ~m ~output_lits ~and_defs
+  build_network ~fail ~m ~input_vars ~output_lits ~and_defs
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 let parse_file path = parse_string (read_file path)
 let parse_binary_file path = parse_binary_string (read_file path)
 
@@ -258,13 +277,3 @@ let write_aig_binary aig =
 
 let write_network net = write_aig (Aig_lib.Aig_of_network.convert net)
 let write_network_binary net = write_aig_binary (Aig_lib.Aig_of_network.convert net)
-
-let write_file path aig =
-  let oc = open_out path in
-  output_string oc (write_aig aig);
-  close_out oc
-
-let write_binary_file path aig =
-  let oc = open_out_bin path in
-  output_string oc (write_aig_binary aig);
-  close_out oc

@@ -32,6 +32,3 @@ val write_network : Logic.Network.t -> string
 
 val write_network_binary : Logic.Network.t -> string
 (** Convert through {!Aig_lib.Aig_of_network} first (binary). *)
-
-val write_file : string -> Aig_lib.Aig.t -> unit
-val write_binary_file : string -> Aig_lib.Aig.t -> unit

@@ -168,11 +168,6 @@ let parse_file path =
       let net, _, _, _ = parse_internal (iter_channel_lines ic) in
       net)
 
-let parse_sequential_file path =
-  with_file path (fun ic ->
-      let net, pis, pos, dffs = parse_internal (iter_channel_lines ic) in
-      Seq.create net ~num_pis:pis ~num_pos:pos ~init:(Array.make dffs false))
-
 let write_string net =
   let buf = Buffer.create 4096 in
   let input_names = Network.input_names net in
@@ -253,8 +248,3 @@ let write_string net =
       if inner <> name then emit name "BUFF" [ inner ])
     (Network.outputs net);
   Buffer.contents buf
-
-let write_file path net =
-  let oc = open_out path in
-  output_string oc (write_string net);
-  close_out oc

@@ -15,7 +15,4 @@ val parse_sequential_string : string -> Logic.Seq.t
 (** Keep the registers explicit instead of only returning the cut network;
     initial state is all-zero (the ISCAS-89 convention). *)
 
-val parse_sequential_file : string -> Logic.Seq.t
-
 val write_string : Logic.Network.t -> string
-val write_file : string -> Logic.Network.t -> unit

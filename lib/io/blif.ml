@@ -196,11 +196,6 @@ let parse_file path =
       let net, _, _, _ = parse_internal ~sequential:false (iter_channel_lines ic) in
       net)
 
-let parse_sequential_file path =
-  with_file path (fun ic ->
-      let net, pis, pos, init = parse_internal ~sequential:true (iter_channel_lines ic) in
-      Seq.create net ~num_pis:pis ~num_pos:pos ~init)
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -297,8 +292,3 @@ let write_string ?(model_name = "network") net =
     (Network.outputs net);
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-let write_file ?model_name path net =
-  let oc = open_out path in
-  output_string oc (write_string ?model_name net);
-  close_out oc

@@ -18,7 +18,4 @@ val parse_sequential_string : string -> Logic.Seq.t
     [parse_string] keeps rejecting latches so purely combinational flows
     fail loudly on sequential files. *)
 
-val parse_sequential_file : string -> Logic.Seq.t
-
 val write_string : ?model_name:string -> Logic.Network.t -> string
-val write_file : ?model_name:string -> string -> Logic.Network.t -> unit

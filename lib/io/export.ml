@@ -113,6 +113,4 @@ let network_to_dot net =
   Buffer.contents buf
 
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)

@@ -68,12 +68,7 @@ let parse_string text =
     per_output;
   net
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
+let parse_file path = parse_string (In_channel.with_open_text path In_channel.input_all)
 
 let write_string net =
   let ni = Network.num_inputs net in
@@ -116,11 +111,6 @@ let write_string net =
     (List.rev !order);
   Buffer.add_string buf ".e\n";
   Buffer.contents buf
-
-let write_file path net =
-  let oc = open_out path in
-  output_string oc (write_string net);
-  close_out oc
 
 let of_sops ?input_names ?output_names sops =
   let ni = if Array.length sops = 0 then 0 else Sop.num_vars sops.(0) in

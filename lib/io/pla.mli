@@ -16,7 +16,5 @@ val write_string : Logic.Network.t -> string
 (** Tabulates the network (inputs ≤ {!Logic.Truth_table.max_vars}) into a
     minimized two-level cover. *)
 
-val write_file : string -> Logic.Network.t -> unit
-
 val of_sops : ?input_names:string array -> ?output_names:string array -> Logic.Sop.t array -> Logic.Network.t
 (** Wrap single-output covers sharing one input space into a network. *)

@@ -233,7 +233,7 @@ let compile ?schedule ?(arch = Core.Rram_cost.Unbounded_serial) realization mig
   | Core.Rram_cost.Unbounded_serial -> compile_serial ?schedule realization mig
   | Core.Rram_cost.Crossbar _ -> (
       match Compile_crossbar.compile ?schedule ~arch realization mig with
-      | Error e -> invalid_arg ("Compile_mig.compile: " ^ e)
+      | Error e -> invalid_arg e
       | Ok r ->
           {
             program = r.Compile_crossbar.program;

@@ -42,6 +42,7 @@ val compile :
     bit-identically) selects the execution target; a [Crossbar] geometry
     routes through {!Compile_crossbar}.
 
-    @raise Invalid_argument when a crossbar geometry cannot host the
-    circuit (the CLI validates geometries up front; careful callers use
+    @raise Invalid_argument with {!Compile_crossbar.compile}'s own message,
+    unprefixed and fit for a user, when a crossbar geometry cannot host the
+    circuit (careful callers use
     {!Compile_crossbar.compile} directly for a [result]-typed error). *)

@@ -53,8 +53,6 @@ exception Bad of error_code * string
 
 let bad fmt = Printf.ksprintf (fun msg -> raise (Bad (Bad_request, msg))) fmt
 
-let formats = [ "blif"; "bench"; "pla"; "aag"; "aig" ]
-
 let opt_string name json =
   match Json.member name json with
   | Json.Null -> None
@@ -82,9 +80,9 @@ let decode_circuit json =
       | Some _, _, _ ->
           bad "\"circuit\" must carry either \"path\" or \"format\"+\"source\", not both"
       | None, Some format, Some source ->
-          if not (List.mem format formats) then
+          if not (List.mem format Io.Netlist.formats) then
             bad "unknown circuit format %S (expected %s)" format
-              (String.concat ", " formats);
+              (String.concat ", " Io.Netlist.formats);
           Inline { format; source }
       | None, _, _ ->
           bad "inline \"circuit\" needs both \"format\" and \"source\"")

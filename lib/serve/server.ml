@@ -46,58 +46,6 @@ exception Reject of Protocol.error_code * string
 let reject code fmt =
   Printf.ksprintf (fun msg -> raise (Reject (code, msg))) fmt
 
-let parse_inline ~format ~source =
-  let wrap line msg = reject Protocol.Bad_request "circuit:%d: %s" line msg in
-  try
-    match format with
-    | "blif" -> Io.Blif.parse_string source
-    | "bench" -> Io.Bench_format.parse_string source
-    | "pla" -> Io.Pla.parse_string source
-    | "aag" -> Io.Aiger.parse_string source
-    | "aig" -> Io.Aiger.parse_binary_string source
-    | _ -> reject Protocol.Bad_request "unknown circuit format %S" format
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
-  | Failure msg -> reject Protocol.Bad_request "circuit: %s" msg
-
-let parse_file path =
-  let wrap line msg = reject Protocol.Io_error "%s:%d: %s" path line msg in
-  try
-    match Filename.extension path with
-    | ".blif" -> Io.Blif.parse_file path
-    | ".bench" -> Io.Bench_format.parse_file path
-    | ".pla" -> Io.Pla.parse_file path
-    | ".aag" -> Io.Aiger.parse_file path
-    | ".aig" -> Io.Aiger.parse_binary_file path
-    | ext ->
-        reject Protocol.Io_error
-          "%s: unsupported netlist extension %S (expected .blif, .bench, .pla, .aag or .aig)"
-          path ext
-  with
-  | Io.Blif.Parse_error (line, msg) -> wrap line msg
-  | Io.Bench_format.Parse_error (line, msg) -> wrap line msg
-  | Io.Pla.Parse_error (line, msg) -> wrap line msg
-  | Io.Aiger.Parse_error (line, msg) -> wrap line msg
-  | Sys_error msg -> reject Protocol.Io_error "%s" msg
-  | Failure msg -> reject Protocol.Io_error "%s" msg
-
-(* Compile_mig wraps crossbar mapping errors with its own prefix; that is
-   noise on the wire. *)
-let strip_compile_prefix msg =
-  let prefix = "Compile_mig.compile: " in
-  let plen = String.length prefix in
-  if String.length msg >= plen && String.sub msg 0 plen = prefix then
-    String.sub msg plen (String.length msg - plen)
-  else msg
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 type sjob = {
   sj_flows : (string * string) list;  (* (label, script) portfolio specs *)
   sj_single : Core.Mig.t Flow.t option;  (* parsed flow when one script *)
@@ -112,15 +60,24 @@ type sjob = {
   sj_fingerprint : string;
 }
 
-let uses_xbar job =
-  List.exists (fun (_, s) -> contains_sub s "xbar_") job.sj_flows
-  || contains_sub job.sj_cost "xbar_"
-
 let prepare ~pool_jobs (synth : Protocol.synth) =
+  let read code f =
+    try f ()
+    with Io.Netlist.Error msg -> raise (Reject (code, msg))
+  in
   let net =
     match synth.circuit with
-    | Protocol.Inline { format; source } -> parse_inline ~format ~source
-    | Protocol.File path -> parse_file path
+    | Protocol.Inline { format; source } ->
+        read Protocol.Bad_request (fun () -> Io.Netlist.read_string format source)
+    | Protocol.File path -> read Protocol.Io_error (fun () -> Io.Netlist.read_file path)
+  in
+  let arch =
+    match synth.arch with
+    | None -> Core.Rram_cost.Unbounded_serial
+    | Some text -> (
+        match Core.Rram_cost.parse_arch text with
+        | Ok a -> a
+        | Error e -> reject Protocol.Bad_request "%s" e)
   in
   let effort =
     Option.value synth.effort ~default:Core.Mig_opt.default_effort
@@ -144,7 +101,7 @@ let prepare ~pool_jobs (synth : Protocol.synth) =
   let parsed =
     List.map
       (fun (label, s) ->
-        match Core.Mig_flows.parse s with
+        match Core.Mig_flows.parse ~arch s with
         | Ok flow -> (label, s, flow)
         | Error e ->
             reject Protocol.Bad_request "flow %s: %s" label
@@ -152,17 +109,10 @@ let prepare ~pool_jobs (synth : Protocol.synth) =
       labeled
   in
   let cost = Option.value synth.cost ~default:Core.Mig_flows.default_cost in
-  if not (List.mem_assoc cost Core.Mig_flows.costs) then
+  let cost_names = List.map fst (Core.Mig_flows.costs ()) in
+  if not (List.mem cost cost_names) then
     reject Protocol.Bad_request "unknown cost %S (expected one of %s)" cost
-      (String.concat ", " (List.map fst Core.Mig_flows.costs));
-  let arch =
-    match synth.arch with
-    | None -> Core.Rram_cost.Unbounded_serial
-    | Some text -> (
-        match Core.Rram_cost.parse_arch text with
-        | Ok a -> a
-        | Error e -> reject Protocol.Bad_request "%s" e)
-  in
+      (String.concat ", " cost_names);
   let realization =
     match synth.realization with
     | "imp" -> Core.Rram_cost.Imp
@@ -200,7 +150,7 @@ let prepare ~pool_jobs (synth : Protocol.synth) =
   (key, job)
 
 (* ------------------------------------------------------------------ *)
-(* Synthesis (worker domain, or main for xbar-cost flows)              *)
+(* Synthesis (worker domain)                                           *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = (Json.t * float, Protocol.error_code * string) result
@@ -214,8 +164,8 @@ let execute job : outcome =
           | Some flow -> Core.Mig_flows.run ~name:"serve" flow job.sj_canon
           | None ->
               let winner, _ =
-                Core.Mig_flows.portfolio ~jobs:job.sj_jobs ~cost:job.sj_cost
-                  job.sj_flows job.sj_canon
+                Core.Mig_flows.portfolio ~arch:job.sj_arch ~jobs:job.sj_jobs
+                  ~cost:job.sj_cost job.sj_flows job.sj_canon
               in
               winner)
     in
@@ -273,9 +223,7 @@ let execute job : outcome =
       Ok (payload, seconds)
     end
   with
-  | Invalid_argument msg ->
-      Error (Protocol.Synthesis_failed, strip_compile_prefix msg)
-  | Failure msg -> Error (Protocol.Synthesis_failed, msg)
+  | Invalid_argument msg | Failure msg -> Error (Protocol.Synthesis_failed, msg)
 
 (* ------------------------------------------------------------------ *)
 (* Connections and the select loop                                     *)
@@ -348,7 +296,7 @@ let flush_writes state = List.iter flush_conn state.conns
 
 type shared = {
   s_key : string;
-  s_run : [ `Task of outcome Par.task | `Inline of unit -> outcome ];
+  s_task : outcome Par.task;
   mutable s_outcome : outcome option;
 }
 
@@ -364,12 +312,19 @@ let count_request state =
   state.requests <- state.requests + 1;
   Obs.incr c_requests
 
-(* Flows naming xbar_* accept_if costs read the process-global architecture
-   (Core.Mig_flows.set_arch); to keep that sound under fan-out, such jobs
-   run inline on the accept loop's domain, never on a pool worker. *)
+(* Any exception while preparing a request — not only the anticipated
+   rejections — answers that request with an error envelope; the loop
+   never unwinds on request input. *)
 let classify state inflight id (synth : Protocol.synth) =
   match prepare ~pool_jobs:(Par.jobs state.pool) synth with
-  | exception Reject (code, msg) ->
+  | exception e ->
+      let code, msg =
+        match e with
+        | Reject (code, msg) -> (code, msg)
+        | e ->
+            ( Protocol.Synthesis_failed,
+              "unexpected exception: " ^ Printexc.to_string e )
+      in
       count_error state;
       Ready (Protocol.error_response ~id ~code msg)
   | key, job -> (
@@ -384,19 +339,13 @@ let classify state inflight id (synth : Protocol.synth) =
               Pending { p_id = id; p_tag = "coalesced"; p_shared = shared }
           | None ->
               Cache.note_miss state.cache;
-              let run =
-                if uses_xbar job then
-                  `Inline
-                    (fun () ->
-                      Core.Mig_flows.set_arch
-                        (match job.sj_arch with
-                        | Core.Rram_cost.Crossbar _ as a -> a
-                        | Core.Rram_cost.Unbounded_serial ->
-                            Core.Rram_cost.Unbounded_serial);
-                      execute job)
-                else `Task (Par.submit state.pool (fun () -> execute job))
+              let shared =
+                {
+                  s_key = key;
+                  s_task = Par.submit state.pool (fun () -> execute job);
+                  s_outcome = None;
+                }
               in
-              let shared = { s_key = key; s_run = run; s_outcome = None } in
               Hashtbl.add inflight key shared;
               Pending { p_id = id; p_tag = "miss"; p_shared = shared }))
 
@@ -405,10 +354,7 @@ let resolve state shared =
   | Some o -> o
   | None ->
       let o =
-        try
-          match shared.s_run with
-          | `Task t -> Par.await t
-          | `Inline f -> f ()
+        try Par.await shared.s_task
         with e ->
           Error
             ( Protocol.Synthesis_failed,

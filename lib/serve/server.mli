@@ -9,9 +9,12 @@
     writes responses back per connection in request order.
 
     Failure containment: a malformed line, an oversized payload, an unknown
-    schema version, a bad flow script or a failing synthesis each produce a
-    structured error envelope on that connection — the loop itself never
-    dies on request input.  The daemon stops on a [shutdown] op or when the
+    schema version, a bad flow script, a circuit no reader accepts, a
+    failing synthesis — or any other exception while a request is prepared
+    or synthesized — each produce a structured error envelope on that
+    connection; the loop itself never dies on request input.  Every miss
+    runs on the pool: a request's [xbar_*] costs are closed over its own
+    [arch] when its scripts are parsed, so jobs share no state.  The daemon stops on a [shutdown] op or when the
     [stop] callback turns true (the CLI wires SIGINT/SIGTERM to it); both
     paths drain pending responses, shut the pool down (merging worker
     observability buffers), record the request/cache totals as manifest

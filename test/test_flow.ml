@@ -166,7 +166,7 @@ let parser_tests =
         | _ -> fail "expected a cycle");
         match
           Flow.Script.parse ~registry:Core.Mig_flows.registry
-            ~costs:Core.Mig_flows.costs ~default_effort:7 "cycle{eliminate}"
+            ~costs:(Core.Mig_flows.costs ()) ~default_effort:7 "cycle{eliminate}"
         with
         | Ok (Flow.Cycle { effort; _ }) -> check int "overridden default" 7 effort
         | _ -> fail "expected a cycle");
@@ -289,6 +289,37 @@ let guard_tests =
         in
         check bool "unguarded comparison run is equivalent too" true
           (Core.Mig_equiv.equivalent_network unguarded net));
+    test_case "xbar costs score against the arch the script was parsed for"
+      `Quick (fun () ->
+        (* four independent gates on level 1: a 2-row crossbar needs two
+           waves for them, the unbounded serial target one step each *)
+        let mig = Core.Mig.create () in
+        let pis = Array.init 12 (fun _ -> Core.Mig.add_pi mig) in
+        for g = 0 to 3 do
+          ignore
+            (Core.Mig.add_po mig
+               (Core.Mig.maj mig pis.(3 * g) pis.((3 * g) + 1) pis.((3 * g) + 2)))
+        done;
+        let rec guard_cost = function
+          | Flow.Accept_if { cost; _ } -> cost
+          | Flow.Seq (f :: _) | Flow.Named { body = f; _ } -> guard_cost f
+          | _ -> fail "no accept_if guard in the parsed flow"
+        in
+        let latency arch =
+          match
+            Core.Mig_flows.parse ~arch "accept_if(xbar_latency_maj){push_up}"
+          with
+          | Ok flow -> guard_cost flow mig
+          | Error e -> failf "parse error %a" Flow.Script.pp_error e
+        in
+        let serial = latency Core.Rram_cost.Unbounded_serial in
+        let narrow =
+          latency (Core.Rram_cost.Crossbar { rows = 2; columns = 64 })
+        in
+        check bool
+          (Printf.sprintf "serial latency %g differs from 2x64 latency %g"
+             serial narrow)
+          true (serial <> narrow));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -371,6 +371,49 @@ let error_tests =
         match Io.Aiger.parse_string "aig 1 1 0 0 0\n" with
         | exception Io.Aiger.Parse_error _ -> ()
         | _ -> Alcotest.fail "expected Parse_error");
+    test_case "aiger: header counts the input cannot hold" `Quick (fun () ->
+        (* each would allocate or loop by the declared count if trusted *)
+        let rejects name parse text =
+          match parse text with
+          | exception Io.Aiger.Parse_error _ -> ()
+          | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+          | _ -> Alcotest.failf "%s: expected Parse_error" name
+        in
+        let huge = "4611686018427387903" in
+        rejects "aag M" Io.Aiger.parse_string
+          ("aag " ^ huge ^ " 2 0 1 0\n2\n4\n6\n6 2 4\n");
+        rejects "aag I" Io.Aiger.parse_string ("aag 10 " ^ huge ^ " 0 0 0\n");
+        rejects "aag O" Io.Aiger.parse_string ("aag 10 1 0 " ^ huge ^ " 0\n2\n");
+        rejects "aag A" Io.Aiger.parse_string ("aag 10 1 0 0 " ^ huge ^ "\n2\n");
+        rejects "aag negative count" Io.Aiger.parse_string "aag 3 -1 0 0 0\n";
+        rejects "aag negative literal" Io.Aiger.parse_string "aag 3 1 0 1 0\n-2\n2\n";
+        rejects "aag input beyond M" Io.Aiger.parse_string "aag 3 1 0 1 0\n40\n40\n";
+        rejects "aig M" Io.Aiger.parse_binary_string ("aig " ^ huge ^ " 2 0 1 0\n6\n");
+        rejects "aig O" Io.Aiger.parse_binary_string ("aig 10 1 0 " ^ huge ^ " 0\n2\n");
+        rejects "aig A" Io.Aiger.parse_binary_string
+          ("aig " ^ huge ^ " 1 0 0 4611686018427387900\n\001\001"));
+    test_case "netlist: one located error for every reader" `Quick (fun () ->
+        let error f =
+          match f () with
+          | exception Io.Netlist.Error msg -> msg
+          | _ -> Alcotest.fail "expected Io.Netlist.Error"
+        in
+        check string "bench parse error"
+          "circuit:2: unknown gate FOO"
+          (error (fun () ->
+               Io.Netlist.read_string "bench" "INPUT(a)\nb = FOO(a)\nOUTPUT(b)\n"));
+        check string "aig byte offset" "circuit:14: header M smaller than I + A"
+          (error (fun () -> Io.Netlist.read_string "aig" "aig 1 1 0 0 1\n"));
+        check string "unknown format"
+          "circuit: unknown circuit format \"edif\" (expected blif, bench, pla, aag, aig)"
+          (error (fun () -> Io.Netlist.read_string "edif" ""));
+        check string "unknown extension"
+          "net.edif: unsupported netlist extension .edif (expected .blif, .bench, \
+           .pla, .aag or .aig)"
+          (error (fun () -> Io.Netlist.read_file "net.edif"));
+        check string "missing file" "no/such.blif: No such file or directory"
+          (error (fun () -> Io.Netlist.read_file "no/such.blif"));
+        check string "format by extension" "aig" (Io.Netlist.format_of_path "a/b.aig"));
   ]
 
 let export_tests =

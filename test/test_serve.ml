@@ -394,6 +394,14 @@ let e2e_tests =
           fst
             (with_server ~jobs (fun path ->
                  let c = Serve.Client.connect path in
+                 (* the two xbar requests differ only in arch: each flow
+                    carries its own, so they may share a batch and run
+                    side by side on the pool *)
+                 let xbar arch =
+                   synth_op
+                     ~flows:[ "cycle(2){accept_if(xbar_weighted_maj){push_up; omega_i3}}; push_up" ]
+                     ~arch (P.File (c17_path ()))
+                 in
                  let ops =
                    [
                      quick_synth;
@@ -401,13 +409,21 @@ let e2e_tests =
                      synth_op
                        ~flows:[ "push_up"; "omega_i; push_up" ]
                        ~jobs:2 inline_blif;
+                     xbar "serial";
+                     xbar "2x64";
                    ]
                  in
+                 (* pipelined: every request is on the wire before the first
+                    answer is read *)
+                 List.iter
+                   (fun op -> Serve.Client.send_line c (Json.to_string (encode op)))
+                   ops;
                  let rs =
                    List.map
-                     (fun op ->
-                       Json.to_string
-                         (P.strip_volatile (Serve.Client.rpc c (encode op))))
+                     (fun _ ->
+                       let r = Json.of_string (Serve.Client.recv_line c) in
+                       check string "answered ok" "ok" (member_str "status" r);
+                       Json.to_string (P.strip_volatile r))
                      ops
                  in
                  Serve.Client.close c;
@@ -479,6 +495,18 @@ let e2e_tests =
               in
               check string "impossible crossbar" "synthesis_failed"
                 (error_code bad_xbar);
+              (* a 44-byte AIGER file whose header declares M = 2^62 - 1 *)
+              let hostile =
+                Serve.Client.rpc c
+                  (encode
+                     (synth_op ~flows:[ "push_up" ]
+                        (P.Inline
+                           {
+                             format = "aag";
+                             source = "aag 4611686018427387903 2 0 1 0\n2\n4\n6\n6 2 4\n";
+                           })))
+              in
+              check string "hostile aag header" "bad_request" (error_code hostile);
               (* the daemon is still alive and serving *)
               let pong = Serve.Client.rpc c (encode P.Ping) in
               check string "still serving" "ok" (member_str "status" pong);
