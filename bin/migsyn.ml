@@ -261,7 +261,8 @@ let optimize_cmd =
   let out_arg =
     Arg.(
       value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the optimized MIG as BLIF.")
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the optimized MIG; the extension picks the format (.blif, .bench, .aag or .aig).")
   in
   let run obs path alg effort out =
     with_obs ~sub:"optimize" obs @@ fun () ->
@@ -289,8 +290,7 @@ let optimize_cmd =
     match out with
     | None -> ()
     | Some f ->
-        Io.Export.write_file f
-          (Io.Blif.write_string ~model_name:"optimized" (Core.Mig_to_network.export optimized));
+        Io.Netlist.write_file ~model_name:"optimized" f (Core.Mig_to_network.export optimized);
         Format.printf "wrote %s@." f
   in
   Cmd.v
@@ -345,7 +345,8 @@ let flow_cmd =
   let out_arg =
     Arg.(
       value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the optimized MIG as BLIF.")
+      & info [ "o"; "output" ] ~docv:"FILE"
+          ~doc:"Write the optimized MIG; the extension picks the format (.blif, .bench, .aag or .aig).")
   in
   let no_verify_arg =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
@@ -497,8 +498,7 @@ let flow_cmd =
       match dump_out with
       | None -> ()
       | Some f ->
-          Io.Export.write_file f
-            (Io.Blif.write_string ~model_name:"flow" (Core.Mig_to_network.export optimized));
+          Io.Netlist.write_file ~model_name:"flow" f (Core.Mig_to_network.export optimized);
           Format.printf "wrote %s@." f
     end
   in
@@ -835,13 +835,13 @@ let faults_cmd =
     (try
        for cell = 0 to program.Rram.Program.num_regs - 1 do
          List.iter
-           (fun value ->
-             let f = { Rram.Faults.cell; value } in
+           (fun defect ->
+             let f = (cell, defect) in
              if not (Rram.Faults.survives program ~reference [ f ] vectors) then begin
                breaking := Some f;
                raise Exit
              end)
-           [ true; false ]
+           [ Rram.Device.Stuck_1; Rram.Device.Stuck_0 ]
        done
      with Exit -> ());
     Format.printf "@.Repair demo (resilient executor, max %d attempts):@." attempts;
@@ -849,10 +849,10 @@ let faults_cmd =
     | None ->
         Format.printf
           "  no single stuck-at defect changes the outputs — nothing to repair@."
-    | Some ({ Rram.Faults.cell; value } as f) ->
+    | Some ((cell, defect) as f) ->
         Format.printf "  injected defect: cell %d stuck-at-%d@." cell
-          (if value then 1 else 0);
-        let env = Rram.Resilient.env_of_defects (Rram.Faults.to_defects [ f ]) in
+          (match defect with Rram.Device.Stuck_1 -> 1 | Rram.Device.Stuck_0 -> 0);
+        let env = Rram.Resilient.env_of_defects [ f ] in
         let report =
           Rram.Resilient.run ~max_attempts:attempts ~vectors env program ~reference
         in

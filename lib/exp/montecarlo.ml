@@ -109,18 +109,6 @@ let survived arm ok =
   if ok then Obs.incr (List.assoc arm survive_c);
   (arm, ok)
 
-(* A synthetic placement whose only role is to cap the spare cells plain
-   remapping may allocate at the sampled array size — a replacement beyond
-   the crossbar would make Interp.run_on reject the program outright. *)
-let capacity_placement universe =
-  {
-    Rram.Placement.rows = 1;
-    columns = universe;
-    row_of = [||];
-    column_of = [||];
-    utilization = 0.0;
-  }
-
 let run ?(config = default) ~name net =
   (match validate config with
   | Ok () -> ()
@@ -161,7 +149,6 @@ let run ?(config = default) ~name net =
         primary.Rram.Program.num_regs + config.spares;
       ]
   in
-  let placement = capacity_placement universe in
   let trial params ~seed =
     Obs.incr trials_c;
     let bare arm prog =
@@ -188,7 +175,11 @@ let run ?(config = default) ~name net =
           Rram.Remap.remap_wear_aware
             ~wear:(e.Rram.Variation.wear ())
             p ~bad:(bad @ screened)
-        else fun p ~bad -> Rram.Remap.remap ~placement p ~bad
+        else
+          (* Plain remapping is capped at the sampled array size — a
+             replacement beyond the crossbar would make Interp.run_on
+             reject the program outright. *)
+          fun p ~bad -> Rram.Remap.remap ~capacity:universe p ~bad
       in
       let start =
         match remap primary ~bad:screened with

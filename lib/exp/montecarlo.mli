@@ -1,7 +1,7 @@
 (** Monte-Carlo yield campaigns over statistical device variability.
 
-    Where {!Ablation.yield_curve} flips a coin per cell (stuck-at faults at
-    a flat rate), this driver samples the {e physics} of every device with
+    Where {!Ablation.yield_curve} pins cells stuck at a flat per-cell rate
+    on otherwise ideal devices, this driver samples the {e physics} of every device with
     {!Rram.Variation} — lognormal LRS/HRS spreads, sense noise, endurance
     drift — and measures functional yield versus the variability scale σ
     for five execution arms on the {e same} sampled silicon:

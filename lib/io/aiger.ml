@@ -14,7 +14,10 @@ let fail line msg = raise (Parse_error (line, msg))
    networks (same node-creation order, same lazily shared negation nodes).
    Variables live in a table rather than an array of [M + 1] slots: a
    header's [M] costs nothing to declare, so it must not size an
-   allocation. *)
+   allocation.  [fail] learns which definition a failure belongs to, so the
+   ASCII reader can name its line. *)
+type site = Output of int | And of int
+
 let build_network ~fail ~m ~input_vars ~output_lits ~and_defs =
   let net = Network.create () in
   let node_of_var = Hashtbl.create 1024 in
@@ -23,11 +26,11 @@ let build_network ~fail ~m ~input_vars ~output_lits ~and_defs =
     (fun k v -> Hashtbl.replace node_of_var v (Network.add_input net (Printf.sprintf "i%d" k)))
     input_vars;
   let negations = Hashtbl.create 97 in
-  let literal lit =
+  let literal site lit =
     let v = lit / 2 in
-    if lit < 0 || v > m then fail "literal out of range";
+    if lit < 0 || v > m then fail site "literal out of range";
     let base = Option.value (Hashtbl.find_opt node_of_var v) ~default:(-1) in
-    if base < 0 then fail (Printf.sprintf "undefined variable %d" v);
+    if base < 0 then fail site (Printf.sprintf "undefined variable %d" v);
     if lit land 1 = 0 then base
     else
       match Hashtbl.find_opt negations lit with
@@ -38,13 +41,13 @@ let build_network ~fail ~m ~input_vars ~output_lits ~and_defs =
           id
   in
   (* AIGER files are topologically sorted (lhs > rhs), so one pass works. *)
-  Array.iter
-    (fun (lhs, r0, r1) ->
-      let id = Network.and2 net (literal r0) (literal r1) in
+  Array.iteri
+    (fun k (lhs, r0, r1) ->
+      let id = Network.and2 net (literal (And k) r0) (literal (And k) r1) in
       Hashtbl.replace node_of_var (lhs / 2) id)
     and_defs;
   Array.iteri
-    (fun k lit -> Network.add_output net (Printf.sprintf "o%d" k) (literal lit))
+    (fun k lit -> Network.add_output net (Printf.sprintf "o%d" k) (literal (Output k) lit))
     output_lits;
   net
 
@@ -122,7 +125,9 @@ let parse_string text =
             (lhs, r0, r1)
         | _ -> fail !line_no "bad AND line")
   in
-  build_network ~fail:(fail 0) ~m ~input_vars ~output_lits ~and_defs
+  (* header, then one line per input, output and AND, in that order *)
+  let line_of = function Output k -> i + k + 2 | And k -> i + o + k + 2 in
+  build_network ~fail:(fun site -> fail (line_of site)) ~m ~input_vars ~output_lits ~and_defs
 
 (* ------------------------------------------------------------------ *)
 (* Binary reader                                                       *)
@@ -191,7 +196,7 @@ let parse_binary_string text =
         if rhs1 < 0 then fail "AND delta out of range";
         (lhs, rhs0, rhs1))
   in
-  build_network ~fail ~m ~input_vars ~output_lits ~and_defs
+  build_network ~fail:(fun _ -> fail) ~m ~input_vars ~output_lits ~and_defs
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let parse_file path = parse_string (read_file path)

@@ -9,9 +9,22 @@ let parse_string text =
   let ni = ref (-1) and no = ref (-1) in
   let ilb = ref None and ob = ref None in
   let cubes = ref [] in
+  let consumed = ref 0 in
+  (* Each declared input or output takes a column of every cube plane (or
+     a name in .ilb/.ob), so a count beyond the bytes that follow its header
+     line cannot be encoded: reject it before anything is sized by it. *)
+  let count n what v =
+    let rest = String.length text - !consumed in
+    match int_of_string_opt v with
+    | Some c when c >= 0 && c <= rest -> c
+    | Some c when c >= 0 ->
+        fail n (Printf.sprintf "%s declares %d but only %d bytes follow" what c rest)
+    | _ -> fail n (Printf.sprintf "bad %s count %S" what v)
+  in
   List.iteri
     (fun i raw ->
       let n = i + 1 in
+      consumed := !consumed + String.length raw + 1;
       let line =
         match String.index_opt raw '#' with Some j -> String.sub raw 0 j | None -> raw
       in
@@ -19,8 +32,8 @@ let parse_string text =
       if line <> "" then begin
         let toks = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
         match toks with
-        | ".i" :: v :: _ -> ni := int_of_string v
-        | ".o" :: v :: _ -> no := int_of_string v
+        | ".i" :: v :: _ -> ni := count n ".i" v
+        | ".o" :: v :: _ -> no := count n ".o" v
         | ".p" :: _ | ".type" :: _ | ".e" :: _ | ".end" :: _ -> ()
         | ".ilb" :: names -> ilb := Some names
         | ".ob" :: names -> ob := Some names
@@ -50,14 +63,14 @@ let parse_string text =
   let input_ids = Array.map (Network.add_input net) input_names in
   let per_output = Array.make no [] in
   List.iter
-    (fun (_, input_plane, output_plane) ->
+    (fun (n, input_plane, output_plane) ->
       let cube = Cube.of_string input_plane in
       String.iteri
         (fun o ch ->
           match ch with
           | '1' | '4' -> per_output.(o) <- cube :: per_output.(o)
           | '0' | '-' | '~' | '2' | '3' -> ()
-          | c -> fail 0 (Printf.sprintf "bad output literal %c" c))
+          | c -> fail n (Printf.sprintf "bad output literal %c" c))
         output_plane)
     (List.rev !cubes);
   Array.iteri

@@ -1,4 +1,4 @@
-(** Functional model of a single bipolar RRAM device, ideal or non-ideal.
+(** Functional model of a single bipolar RRAM device.
 
     The state is the internal resistance: [true] = low resistance = logic 1,
     [false] = high resistance = logic 0.  The three operations below are the
@@ -12,34 +12,21 @@
       [R' = P·R + ¬Q·R + P·¬Q = M(P, ¬Q, R)] (Fig. 2) — the intrinsic
       resistive-majority operation.
 
-    Devices created with {!create} are ideal: every pulse lands, reads are
-    noiseless, endurance is unlimited.  Devices created with {!create_with}
-    obey a non-ideal {!model}: manufacturing defects pin the cell at one
-    resistance level, a switching pulse can fail to flip the filament,
-    a read can transiently return the wrong level, and each successful
-    switching event consumes one cycle of a finite endurance budget, after
-    which the cell freezes (wears out) in its current state.  All
-    randomness is drawn from the model's deterministic PRNG. *)
+    A cell is modelled in exactly one way, with two independent additions
+    to the ideal law:
+
+    - {!create} gives an ideal cell: every pulse lands, reads are
+      noiseless, and each switching event counts one cycle of {!wear};
+    - {!set_defect} pins a cell stuck at one resistance level (a
+      manufacturing or wear-out defect), after which it ignores every pulse;
+    - {!create_phys} gives the cell sampled statistical {!type:physics}
+      ({!Variation}): reads become a noisy current comparison whose failure
+      probability follows from the sampled resistance window and its
+      drift with wear. *)
 
 type defect = Stuck_0 | Stuck_1
 (** A cell permanently pinned in the high- (0) or low- (1) resistance
-    state — from manufacturing, or from wear-out at runtime. *)
-
-type model
-(** Non-ideality parameters shared by the devices of one crossbar. *)
-
-val model :
-  ?write_fail:float ->
-  ?read_disturb:float ->
-  ?endurance:int ->
-  seed:int ->
-  unit ->
-  model
-(** [write_fail] is the probability that a switching pulse leaves the state
-    unchanged (default 0); [read_disturb] the probability that a read
-    returns the complement of the stored state without altering it
-    (default 0); [endurance] the number of switching events before the
-    cell freezes, 0 meaning unlimited (default). *)
+    state — from manufacturing, or from wear-out found at test time. *)
 
 type physics = {
   r_lrs : float;  (** sampled low-resistance-state resistance, Ω *)
@@ -63,16 +50,9 @@ type t
 val create : unit -> t
 (** A fresh ideal device in the 0 (high-resistance) state. *)
 
-val create_with : ?defect:defect -> model -> t
-(** A fresh device governed by a non-ideal model, optionally with a
-    manufacturing defect. *)
-
-val create_phys : ?defect:defect -> ?model:model -> physics -> t
-(** A fresh device with sampled statistical physics; an optional [model]
-    layers the boolean non-idealities (write failure, finite endurance) on
-    top — the two compose, with [physics] owning the read path. *)
-
-val physics : t -> physics option
+val create_phys : physics -> t
+(** A fresh device in the 0 state with sampled statistical physics, which
+    own its read path. *)
 
 val margin : t -> float option
 (** Worst-case sense margin of the two states at the current wear, in
@@ -85,16 +65,15 @@ val set_defect : t -> defect -> unit
     pulse is ignored.  Works on ideal devices too (used for fault
     injection). *)
 
-val defect : t -> defect option
 val wear : t -> int
 (** Number of successful switching events so far. *)
 
 val read : t -> bool
-(** Sensed value; subject to transient read disturb under a non-ideal
-    model. *)
+(** Sensed value: the stored state on a device without physics, a noisy
+    current comparison against [i_ref] on one with physics. *)
 
 val observe : t -> bool
-(** The true stored state, bypassing read noise.  For traces, debugging and
+(** The true stored state, bypassing sense noise.  For traces, debugging and
     differential diagnosis — not something the hardware controller has. *)
 
 val clear : t -> unit

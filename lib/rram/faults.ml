@@ -1,25 +1,15 @@
 open Logic
 
-type injection = { cell : Isa.reg; value : bool }
-
 let random_faults rng ~num_cells ~rate =
   let acc = ref [] in
   for cell = 0 to num_cells - 1 do
-    if Prng.float rng < rate then acc := { cell; value = Prng.bool rng } :: !acc
+    if Prng.float rng < rate then
+      acc := (cell, if Prng.bool rng then Device.Stuck_1 else Device.Stuck_0) :: !acc
   done;
   !acc
 
-let to_defects faults =
-  List.map
-    (fun { cell; value } ->
-      (cell, if value then Device.Stuck_1 else Device.Stuck_0))
-    faults
-
-let survives program ~reference faults vectors =
-  let stuck = List.map (fun { cell; value } -> (cell, value)) faults in
-  List.for_all
-    (fun v -> Interp.run ~stuck program v = reference v)
-    vectors
+let survives program ~reference defects vectors =
+  List.for_all (fun v -> Interp.run ~defects program v = reference v) vectors
 
 type yield_result = {
   trials : int;
@@ -74,12 +64,12 @@ let yield_comparison ?(seed = 0xFA17) ?(trials = 200) ?(vectors = 24)
   let base = Array.make 3 0 and faults_seen = Array.make 3 0 in
   for _ = 1 to trials do
     let faults = random_faults rng ~num_cells:universe ~rate in
-    let within n = List.filter (fun f -> f.cell < n) faults in
+    let within n = List.filter (fun (cell, _) -> cell < n) faults in
     let baseline_faults = within cells in
     faults_seen.(0) <- faults_seen.(0) + List.length baseline_faults;
     if survives program ~reference baseline_faults vecs then base.(0) <- base.(0) + 1;
     faults_seen.(1) <- faults_seen.(1) + List.length baseline_faults;
-    let env = Resilient.env_of_defects (to_defects faults) in
+    let env = Resilient.env_of_defects faults in
     let report = Resilient.run ~max_attempts ~vectors:vecs env program ~reference in
     if report.Resilient.ok then base.(1) <- base.(1) + 1;
     let tmr_faults = within tmr_cells in

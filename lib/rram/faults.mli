@@ -4,26 +4,29 @@
     high-resistance state.  This module samples random stuck-at fault sets
     over a compiled program's crossbar and measures the functional yield —
     the fraction of fault configurations under which the program still
-    computes its function on a set of test vectors.
+    computes its function on a set of test vectors.  A fault is a
+    {!type:Device.defect} pin on an otherwise ideal cell — the same stuck-at
+    model that {!Variation} campaigns compose with sampled device physics.
 
     Beyond the raw yield of an unprotected program, {!yield_comparison}
     measures what the two fault-tolerance mechanisms buy on the same broken
     silicon: the {!Resilient} detect–remap–retry controller and the {!Tmr}
     majority-voting transform. *)
 
-type injection = { cell : Isa.reg; value : bool }
-
-val random_faults : Logic.Prng.t -> num_cells:int -> rate:float -> injection list
-(** Each cell is independently stuck with probability [rate] (value
-    uniform). *)
-
-val to_defects : injection list -> (Isa.reg * Device.defect) list
-(** The same fault set in {!Device.defect} form, for {!Interp.run} and
-    {!Resilient.env_of_defects}. *)
+val random_faults :
+  Logic.Prng.t -> num_cells:int -> rate:float -> (Isa.reg * Device.defect) list
+(** Each cell is independently stuck with probability [rate] (stuck-at-1
+    or stuck-at-0 equally likely), in the {!type:Device.defect} form that
+    {!Interp.run} and {!Resilient.env_of_defects} take. *)
 
 val survives :
-  Program.t -> reference:(bool array -> bool array) -> injection list -> bool array list -> bool
-(** Does the faulty program still match the reference on every vector? *)
+  Program.t ->
+  reference:(bool array -> bool array) ->
+  (Isa.reg * Device.defect) list ->
+  bool array list ->
+  bool
+(** Does the program, run with these cells pinned, still match the
+    reference on every vector? *)
 
 type yield_result = {
   trials : int;

@@ -184,31 +184,17 @@ let compile mig =
     rm3_per_gate = (if gates = 0 then 0.0 else float_of_int !count /. float_of_int gates);
   }
 
-let run ?model ?(defects = []) program inputs =
+let run program inputs =
   if Array.length inputs <> program.num_inputs then invalid_arg "Plim.run: input count";
-  match (model, defects) with
-  | None, [] ->
-      (* ideal fast path: plain boolean memory *)
-      let mem = Array.make (max 1 program.cells) false in
-      Array.iteri (fun i c -> mem.(c) <- inputs.(i)) program.input_cells;
-      let value = function Imm b -> b | Cell c -> mem.(c) in
-      List.iter
-        (fun { p; q; z } ->
-          let pv = value p and nqv = not (value q) and zv = mem.(z) in
-          mem.(z) <- (pv && nqv) || (pv && zv) || (nqv && zv))
-        program.instrs;
-      Array.map value program.outputs
-  | _ ->
-      (* every cell is a real device: RM3 is one maj_pulse on it *)
-      let mem = Interp.crossbar ?model ~defects (max 1 program.cells) in
-      Array.iteri (fun i c -> Device.write mem.(c) inputs.(i)) program.input_cells;
-      let value = function Imm b -> b | Cell c -> Device.read mem.(c) in
-      List.iter
-        (fun { p; q; z } ->
-          let pv = value p and qv = value q in
-          Device.maj_pulse mem.(z) ~p:pv ~q:qv)
-        program.instrs;
-      Array.map value program.outputs
+  let mem = Array.make (max 1 program.cells) false in
+  Array.iteri (fun i c -> mem.(c) <- inputs.(i)) program.input_cells;
+  let value = function Imm b -> b | Cell c -> mem.(c) in
+  List.iter
+    (fun { p; q; z } ->
+      let pv = value p and nqv = not (value q) and zv = mem.(z) in
+      mem.(z) <- (pv && nqv) || (pv && zv) || (nqv && zv))
+    program.instrs;
+  Array.map value program.outputs
 
 let verify program mig =
   if Core.Mig.num_pis mig <> program.num_inputs then Error "input count mismatch"

@@ -41,16 +41,10 @@ type compiled = {
 
 val compile : Core.Mig.t -> compiled
 
-val run :
-  ?model:Device.model ->
-  ?defects:(int * Device.defect) list ->
-  program ->
-  bool array ->
-  bool array
-(** Execute the RM3 stream.  Ideal by default (a plain boolean memory, all
-    cells 0); with [model] or [defects] every memory cell is a {!Device}
-    and each RM3 lands as one {!Device.maj_pulse}, so stuck cells, write
-    failures, read disturb and endurance wear all apply. *)
+val run : program -> bool array -> bool array
+(** Execute the RM3 stream on an ideal memory (a plain boolean array, all
+    cells 0): each RM3 computes [z ← M(p, ¬q, z)], the {!Device.maj_pulse}
+    law. *)
 
 val verify : program -> Core.Mig.t -> (unit, string) result
 

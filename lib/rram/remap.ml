@@ -45,18 +45,13 @@ let bad_live_regs (p : Program.t) ~bad =
   List.sort_uniq compare bad
   |> List.filter (fun r -> r >= 0 && r < p.Program.num_regs && live.(r))
 
-let remap ?placement (p : Program.t) ~bad =
+let remap ?(capacity = max_int) (p : Program.t) ~bad =
   let needed = bad_live_regs p ~bad in
   if needed = [] then Ok { program = p; moves = []; spares_left = max_int }
   else begin
     (* Fresh registers are fresh physical cells: the dead cell keeps its index
        (and its defect), the replacement gets a previously untouched index, so
        a physical defect map stays valid across repeated remaps. *)
-    let capacity =
-      match placement with
-      | None -> max_int
-      | Some pl -> pl.Placement.rows * pl.Placement.columns
-    in
     let num_regs' = p.Program.num_regs + List.length needed in
     if num_regs' > capacity then
       Error
@@ -73,15 +68,10 @@ let remap ?placement (p : Program.t) ~bad =
     end
   end
 
-let remap_wear_aware ?placement ~wear (p : Program.t) ~bad =
+let remap_wear_aware ~wear (p : Program.t) ~bad =
   let needed = bad_live_regs p ~bad in
   if needed = [] then Ok { program = p; moves = []; spares_left = max_int }
   else begin
-    let universe =
-      match placement with
-      | None -> Array.length wear
-      | Some pl -> min (Array.length wear) (pl.Placement.rows * pl.Placement.columns)
-    in
     let live = live_regs p in
     let is_live r = r < Array.length live && live.(r) in
     let bad_set = List.sort_uniq compare bad in
@@ -93,7 +83,7 @@ let remap_wear_aware ?placement ~wear (p : Program.t) ~bad =
        cell brings the widest remaining resistance window, and writes
        spread across the crossbar instead of piling onto the same spares. *)
     let candidates =
-      List.init universe Fun.id
+      List.init (Array.length wear) Fun.id
       |> List.filter (fun r -> (not (is_live r)) && not (List.mem r bad_set))
       |> List.stable_sort (fun a b -> compare (wear.(a), a) (wear.(b), b))
     in

@@ -9,11 +9,10 @@
     defect map (keyed by cell index) remains meaningful across repeated
     remap rounds.
 
-    When a {!Placement} is supplied, the physical array's [rows × columns]
-    geometry bounds the number of spare cells available; without one,
-    spares are unlimited (the controller is assumed to re-place the
-    program, which {!Placement.place} recomputes from the rewritten
-    program). *)
+    A [capacity] — the number of cells of the physical array — bounds the
+    registers a remapped program may use; without one, spares are
+    unlimited (the controller is assumed to re-place the program, which
+    {!Placement.place} recomputes from the rewritten program). *)
 
 type t = {
   program : Program.t;  (** rewritten program avoiding all bad live cells *)
@@ -25,22 +24,20 @@ val live_regs : Program.t -> bool array
 (** [live_regs p] marks every register the program reads, writes, or
     outputs.  A stuck cell outside this set cannot affect execution. *)
 
-val remap :
-  ?placement:Placement.t -> Program.t -> bad:Isa.reg list -> (t, string) result
+val remap : ?capacity:int -> Program.t -> bad:Isa.reg list -> (t, string) result
 (** Rename every live register of [bad] to a fresh spare.  Returns an error
-    when the placement's array has too few spare sites.  Bad registers that
+    when the renamed program would need more than [capacity] cells.  Bad registers that
     are dead or out of range are ignored; if none remain, the program is
     returned unchanged with no moves. *)
 
 val remap_wear_aware :
-  ?placement:Placement.t ->
   wear:int array ->
   Program.t ->
   bad:Isa.reg list ->
   (t, string) result
 (** Wear-leveling-aware variant: [wear.(c)] is the accumulated switching
     count of physical cell [c] over the whole array ([Array.length wear]
-    cells; a [placement] further caps the usable sites).  Replacements are
+    cells).  Replacements are
     the free cells — not live in the program, not listed bad — of least
     wear, ties to the lower index.  Under endurance drift a low-wear cell
     is the one with the widest remaining resistance window, so repairs

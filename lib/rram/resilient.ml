@@ -6,8 +6,8 @@ type env = {
     bool array;
 }
 
-let env_of_defects ?model defects =
-  { execute = (fun ?trace p v -> Interp.run ?model ~defects ?trace p v) }
+let env_of_defects defects =
+  { execute = (fun ?trace p v -> Interp.run ~defects ?trace p v) }
 
 type report = {
   ok : bool;
@@ -58,11 +58,11 @@ let diagnose env program v =
   in
   scan program.Program.steps (List.combine golden faulty) None
 
-let run ?(max_attempts = 4) ?placement ?remap ?vectors env program ~reference =
+let run ?(max_attempts = 4) ?remap ?vectors env program ~reference =
   let vecs =
     match vectors with Some v -> v | None -> Verify.vectors program.Program.num_inputs
   in
-  let remap = match remap with Some f -> f | None -> Remap.remap ?placement in
+  let remap = match remap with Some f -> f | None -> fun p ~bad -> Remap.remap p ~bad in
   let diagnosed = ref [] and moves = ref [] in
   let first_failure p = List.find_opt (fun v -> env.execute p v <> reference v) vecs in
   let rec attempt n p =

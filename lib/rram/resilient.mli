@@ -6,7 +6,8 @@
     the real crossbar, first divergent written register), rewrites the
     program around the dead cell with {!Remap}, and tries again, a bounded
     number of times.  When repair fails — no spare cells, an undiagnosable
-    (e.g. probabilistic) fault — the report still says which outputs can be
+    fault such as a read-path misread that leaves every stored state
+    correct — the report still says which outputs can be
     trusted, so a partially broken array degrades gracefully instead of
     failing wholesale. *)
 
@@ -22,9 +23,9 @@ type env = {
     physical cell indices, so the same [env] stays valid as remapping moves
     the program onto fresh cells. *)
 
-val env_of_defects : ?model:Device.model -> (Isa.reg * Device.defect) list -> env
-(** Simulated hardware: an {!Interp} crossbar with the given stuck cells
-    and (optionally) a non-ideal device model. *)
+val env_of_defects : (Isa.reg * Device.defect) list -> env
+(** Simulated hardware: an ideal {!Interp} crossbar with the given stuck
+    cells.  Arrays with sampled device physics come from {!val:Variation.env}. *)
 
 type report = {
   ok : bool;  (** final program matches the reference on every vector *)
@@ -45,7 +46,6 @@ val diagnose : env -> Program.t -> bool array -> Isa.reg list
 
 val run :
   ?max_attempts:int ->
-  ?placement:Placement.t ->
   ?remap:(Program.t -> bad:Isa.reg list -> (Remap.t, string) result) ->
   ?vectors:bool array list ->
   env ->
@@ -54,11 +54,10 @@ val run :
   report
 (** Run the detect → diagnose → remap → retry loop ([max_attempts]
     verification rounds, default 4).  [vectors] defaults to
-    {!Verify.vectors} (exhaustive up to 12 inputs); [placement] bounds the
-    spare cells available to {!Remap.remap}.
+    {!Verify.vectors} (exhaustive up to 12 inputs).
 
-    [remap] is the repair policy, defaulting to [Remap.remap ?placement];
-    pass e.g. a closure over {!Remap.remap_wear_aware} with a live wear
+    [remap] is the repair policy, defaulting to {!Remap.remap} with
+    unlimited spares; pass [Remap.remap ~capacity] to bound them, or e.g. a closure over {!Remap.remap_wear_aware} with a live wear
     snapshot to steer repairs toward low-wear cells.  The [bad] list a
     policy receives is cumulative — every cell diagnosed so far, not just
     this round's — so a policy choosing replacements from a free-cell pool

@@ -1,15 +1,16 @@
 (** Statistical device variability (extension).
 
-    The boolean fault layer ({!Faults}, {!Device.model}) treats a defect as
-    a switch: a cell is stuck or it is not.  Real resistive devices fail
-    {e statistically}: the programmed LRS/HRS resistances spread
+    A stuck-at pin ({!Device.set_defect}, the {!Faults} campaigns) treats a
+    defect as a switch: a cell is stuck or it is not.  Real resistive
+    devices also fail {e statistically}: the programmed LRS/HRS resistances spread
     lognormally from device to device, the sense margin between the two
     read currents collapses when a draw lands near (or across) the sense
     reference, and endurance drift narrows the window further as switching
     events accumulate.  This module samples that physics per device and
-    wires it behind the existing {!Device} interface, so every interpreter,
-    controller and protection scheme of the fault layer runs unchanged
-    against a physically-grounded adversary.
+    attaches it to the one {!Device} model ({!Device.create_phys}), so
+    every interpreter, controller and protection scheme runs unchanged
+    against a physically-grounded adversary, and stuck-at pins compose
+    with it.
 
     The model, per device [d] of an array (DESIGN.md §12):
 

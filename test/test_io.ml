@@ -392,6 +392,18 @@ let error_tests =
         rejects "aig O" Io.Aiger.parse_binary_string ("aig 10 1 0 " ^ huge ^ " 0\n2\n");
         rejects "aig A" Io.Aiger.parse_binary_string
           ("aig " ^ huge ^ " 1 0 0 4611686018427387900\n\001\001"));
+    test_case "pla: header counts the input cannot hold" `Quick (fun () ->
+        (* the counts size the input names and the per-output cube lists *)
+        let rejected_on line text =
+          match Io.Pla.parse_string text with
+          | exception Io.Pla.Parse_error (l, _) -> check int "header line" line l
+          | exception e -> Alcotest.fail (Printexc.to_string e)
+          | _ -> Alcotest.fail "expected Parse_error"
+        in
+        rejected_on 2 ".i 2\n.o 4611686018427387903\n";
+        rejected_on 1 ".i 4611686018427387903\n.o 1\n";
+        rejected_on 1 ".i -1\n.o 1\n";
+        rejected_on 2 ".i 1\n.o x\n");
     test_case "netlist: one located error for every reader" `Quick (fun () ->
         let error f =
           match f () with
@@ -404,6 +416,12 @@ let error_tests =
                Io.Netlist.read_string "bench" "INPUT(a)\nb = FOO(a)\nOUTPUT(b)\n"));
         check string "aig byte offset" "circuit:14: header M smaller than I + A"
           (error (fun () -> Io.Netlist.read_string "aig" "aig 1 1 0 0 1\n"));
+        (* network-building errors name the output or AND line at fault *)
+        check string "aag output line" "circuit:3: undefined variable 2"
+          (error (fun () -> Io.Netlist.read_string "aag" "aag 2 1 0 1 0\n2\n4\n"));
+        check string "aag AND line" "circuit:4: undefined variable 3"
+          (error (fun () ->
+               Io.Netlist.read_string "aag" "aag 4 1 0 1 1\n2\n8\n8 2 6\n"));
         check string "unknown format"
           "circuit: unknown circuit format \"edif\" (expected blif, bench, pla, aag, aig)"
           (error (fun () -> Io.Netlist.read_string "edif" ""));

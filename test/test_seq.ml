@@ -146,7 +146,7 @@ let fault_tests =
         check bool "corrupts" false
           (Rram.Faults.survives compiled.Rram.Compile_mig.program
              ~reference:(Core.Mig_sim.eval mig)
-             [ { Rram.Faults.cell = out_reg; value = false } ]
+             [ (out_reg, Rram.Device.Stuck_0) ]
              vectors));
     test_case "yield is monotone in fault rate (statistically)" `Quick (fun () ->
         let mig = Core.Mig_of_network.convert (Funcgen.comparator 3) in
