@@ -64,21 +64,15 @@ let ledger_path =
    flow-level generalization of Alg. 3's move-level criterion. *)
 let custom_flows =
   [
-    {
-      Exp.Experiments.flow_name = "custom/guarded-steps";
-      script =
-        Printf.sprintf
-          "cycle(%d){accept_if(weighted_maj){push_up; omega_i3; omega_i; push_up}}; \
-           push_up"
-          effort;
-    };
-    {
-      Exp.Experiments.flow_name = "custom/area-then-balance";
-      script =
-        Printf.sprintf
-          "cycle(%d){eliminate; reshape; eliminate}; cycle(%d){balance}; eliminate"
-          effort (max 1 (effort / 4));
-    };
+    ( "custom/guarded-steps",
+      Printf.sprintf
+        "cycle(%d){accept_if(weighted_maj){push_up; omega_i3; omega_i; push_up}}; \
+         push_up"
+        effort );
+    ( "custom/area-then-balance",
+      Printf.sprintf
+        "cycle(%d){eliminate; reshape; eliminate}; cycle(%d){balance}; eliminate"
+        effort (max 1 (effort / 4)) );
   ]
 
 let section title =
@@ -146,25 +140,23 @@ let () =
     in
     Printf.printf "  %-24s %.2f s (paper bound: < 3 s)\n%!" name dt
   in
-  time_algorithm "area (Alg. 1)" (Core.Mig_opt.area ~effort);
-  time_algorithm "depth (Alg. 2)" (Core.Mig_opt.depth ~effort);
+  time_algorithm "area (Alg. 1)" (Core.Mig_opt.run ~effort Core.Mig_opt.Area);
+  time_algorithm "depth (Alg. 2)" (Core.Mig_opt.run ~effort Core.Mig_opt.Depth);
   time_algorithm "rram-costs IMP (Alg. 3)"
-    (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Imp);
+    (Core.Mig_opt.run ~effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp));
   time_algorithm "rram-costs MAJ (Alg. 3)"
-    (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj);
-  time_algorithm "steps (Alg. 4)" (Core.Mig_opt.steps ~effort);
+    (Core.Mig_opt.run ~effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj));
+  time_algorithm "steps (Alg. 4)" (Core.Mig_opt.run ~effort Core.Mig_opt.Steps);
   List.iter
-    (fun spec ->
-      time_algorithm
-        (spec.Exp.Experiments.flow_name ^ " (flow script)")
-        (Exp.Experiments.run_flow spec))
+    (fun ((label, _) as spec) ->
+      time_algorithm (label ^ " (flow script)") (Core.Mig_flows.run_request ~scripts:[ spec ]))
     custom_flows;
 
   (match json_path with
   | None -> ()
   | Some path ->
       section "JSON export (--json)";
-      let flows = Exp.Experiments.default_flows ~effort () @ custom_flows in
+      let flows = Core.Mig_flows.default_portfolio ~effort () @ custom_flows in
       let rows, dt = wall (fun () -> Exp.Experiments.profile ~effort ~flows ~jobs ()) in
       Obs.write_json path (Exp.Experiments.profile_json ~effort ~elapsed_seconds:dt rows);
       Printf.printf "  wrote %s (%d benchmarks, per-algorithm wall times; %.2f s)\n" path
@@ -201,11 +193,15 @@ let () =
       in
       let algorithms =
         [
-          ("area", fun m -> ignore (Core.Mig_opt.area ~effort m));
-          ("depth", fun m -> ignore (Core.Mig_opt.depth ~effort m));
-          ("rram-imp", fun m -> ignore (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Imp m));
-          ("rram-maj", fun m -> ignore (Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj m));
-          ("steps", fun m -> ignore (Core.Mig_opt.steps ~effort m));
+          ("area", fun m -> ignore (Core.Mig_opt.run ~effort Core.Mig_opt.Area m));
+          ("depth", fun m -> ignore (Core.Mig_opt.run ~effort Core.Mig_opt.Depth m));
+          ( "rram-imp",
+            fun m ->
+              ignore (Core.Mig_opt.run ~effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp) m) );
+          ( "rram-maj",
+            fun m ->
+              ignore (Core.Mig_opt.run ~effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj) m) );
+          ("steps", fun m -> ignore (Core.Mig_opt.run ~effort Core.Mig_opt.Steps m));
           (* Wave scheduling on the fitted geometry: times the crossbar
              backend itself (fit = one unbounded-column scheduling pass,
              then the real compile), not the optimization in front of it. *)
@@ -215,8 +211,8 @@ let () =
               ignore (Rram.Compile_crossbar.compile ~arch Core.Rram_cost.Maj m) );
         ]
         @ List.map
-            (fun spec ->
-              (spec.Exp.Experiments.flow_name, fun m -> ignore (Exp.Experiments.run_flow spec m)))
+            (fun ((label, _) as spec) ->
+              (label, fun m -> ignore (Core.Mig_flows.run_request ~scripts:[ spec ] m)))
             custom_flows
       in
       let paper_algorithms =
@@ -368,7 +364,7 @@ let () =
   List.iter
     (fun name ->
       let mig =
-        Core.Mig_opt.steps ~effort:20
+        Core.Mig_opt.run ~effort:20 Core.Mig_opt.Steps
           (Core.Mig_of_network.convert ((pick name).Io.Benchmarks.build ()))
       in
       let line realization =
@@ -414,7 +410,7 @@ let () =
   let alu4_mig = Core.Mig_of_network.convert alu4 in
   let table2_test =
     Test.make ~name:"table2/steps-optimization-alu4"
-      (Staged.stage (fun () -> Core.Mig_opt.steps ~effort:10 alu4_mig))
+      (Staged.stage (fun () -> Core.Mig_opt.run ~effort:10 Core.Mig_opt.Steps alu4_mig))
   in
   let b9 = (Option.get (Io.Benchmarks.find "b9")).Io.Benchmarks.build () in
   let b9_perm = Bdd_lib.Bdd_order.order Bdd_lib.Bdd_order.Dfs b9 in

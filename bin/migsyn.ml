@@ -157,34 +157,43 @@ let effort_arg =
     value & opt int Core.Mig_opt.default_effort
     & info [ "e"; "effort" ] ~docv:"N" ~doc:"Optimization effort (cycles).")
 
-let algorithm_conv =
-  let parse = function
-    | "area" -> Ok Core.Mig_opt.Area
-    | "depth" -> Ok Core.Mig_opt.Depth
-    | "rram-imp" -> Ok (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp)
-    | "rram-maj" -> Ok (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj)
-    | "steps" -> Ok Core.Mig_opt.Steps
-    | "bool-rewrite" -> Ok Core.Mig_opt.Boolean
-    | s -> Error (`Msg ("unknown algorithm " ^ s))
-  in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Core.Mig_opt.algorithm_name a))
-
+(* -a stays a raw string through cmdliner, like --arch below:
+   Core.Mig_flows.resolve checks it, so an unknown name is a
+   `migsyn <sub>: error:` listing the canonical names, the same message the
+   daemon answers. *)
 let algorithm_arg =
   Arg.(
     value
-    & opt algorithm_conv Core.Mig_opt.Steps
+    & opt (some string) None
     & info [ "a"; "algorithm" ] ~docv:"ALG"
         ~doc:
-          "Optimization algorithm: area, depth, rram-imp, rram-maj, steps, or \
-           the beyond-paper bool-rewrite.")
+          ("Optimization algorithm: "
+          ^ String.concat ", " Core.Mig_flows.canonical_names
+          ^ " (bool-rewrite is beyond the paper). Default: steps."))
+
+(* Resolve an optimization request before any input is read, so a bad
+   algorithm, script, cost or effort fails fast. *)
+let resolve ?algorithm ?scripts ?cost ?arch ?jobs ?race effort =
+  match Core.Mig_flows.resolve ?algorithm ?scripts ~effort ?cost ?arch ?jobs ?race () with
+  | Ok job -> job
+  | Error e -> failwith e
+
+(* The -a request of a subcommand: the algorithm's canonical name and the
+   function that runs it. *)
+let algorithm_job ?algorithm effort =
+  let job = resolve ?algorithm effort in
+  ( (List.hd job.Core.Mig_flows.entrants).Flow.label,
+    fun mig -> fst (Core.Mig_flows.optimize job mig) )
+
+(* The format an -o path names, checked before any work is done. *)
+let check_output = Option.iter (fun path -> ignore (Io.Netlist.output_format_of_path path))
 
 let realization_conv =
-  let parse = function
-    | "imp" -> Ok Core.Rram_cost.Imp
-    | "maj" -> Ok Core.Rram_cost.Maj
-    | s -> Error (`Msg ("unknown realization " ^ s))
+  let parse s =
+    Option.to_result ~none:(`Msg ("unknown realization " ^ s))
+      (Core.Rram_cost.realization_of_string s)
   in
-  Arg.conv (parse, fun ppf r -> Core.Rram_cost.pp_realization ppf r)
+  Arg.conv (parse, Core.Rram_cost.pp_realization)
 
 let realization_arg =
   Arg.(
@@ -264,15 +273,17 @@ let optimize_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the optimized MIG; the extension picks the format (.blif, .bench, .aag or .aig).")
   in
-  let run obs path alg effort out =
+  let run obs path algorithm effort out =
+    let alg, optimize = algorithm_job ?algorithm effort in
+    check_output out;
     with_obs ~sub:"optimize" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
-    ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
+    ctx "algorithm" (Obs.Json.String alg);
     ctx "effort" (Obs.Json.Int effort);
     let net = Io.Netlist.read_file path in
     let mig = Core.Mig_of_network.convert net in
     let before_imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp mig in
-    let optimized = Core.Mig_opt.run ~effort alg mig in
+    let optimized = optimize mig in
     if not (Core.Mig_equiv.equivalent_network optimized net) then
       failwith "internal error: optimization changed the function";
     let imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp optimized in
@@ -282,7 +293,7 @@ let optimize_cmd =
     res "imp_steps" (Obs.Json.Int imp.Core.Rram_cost.steps);
     res "maj_rrams" (Obs.Json.Int maj.Core.Rram_cost.rrams);
     res "maj_steps" (Obs.Json.Int maj.Core.Rram_cost.steps);
-    Format.printf "%s (effort %d): %a@." (Core.Mig_opt.algorithm_name alg) effort
+    Format.printf "%s (effort %d): %a@." alg effort
       Core.Mig.pp_stats optimized;
     Format.printf "  IMP %a (initial %a)@." Core.Rram_cost.pp imp Core.Rram_cost.pp
       before_imp;
@@ -398,67 +409,53 @@ let flow_cmd =
       let path =
         match input with Some p -> p | None -> failwith "missing NETLIST argument"
       in
+      if scripts <> [] && file <> None then
+        failwith "--script and --file are mutually exclusive";
+      let scripts =
+        match
+          List.mapi (fun i s -> (Printf.sprintf "script%d" (i + 1), s)) scripts
+          @ List.map (fun f -> (Filename.basename f, read_text f)) (Option.to_list file)
+        with
+        | [] when portfolio -> Core.Mig_flows.default_portfolio ~effort ()
+        | [] -> failwith "one of --script, --file or --list-passes is required"
+        | _ :: _ :: _ when not portfolio -> failwith "repeated --script requires --portfolio"
+        | scripts -> scripts
+      in
+      let arch = parse_arch arch in
+      let jobs = resolve_jobs jobs in
+      let job = resolve ~scripts ~cost ~arch ~jobs ~race:portfolio effort in
+      check_output dump_out;
       ctx "input" (Obs.Json.String path);
       ctx "effort" (Obs.Json.Int effort);
-      let arch = parse_arch arch in
       ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
+      if portfolio then begin
+        ctx "jobs" (Obs.Json.Int jobs);
+        ctx "portfolio" (Obs.Json.Int (List.length scripts));
+        ctx "cost" (Obs.Json.String cost)
+      end;
       let net = Io.Netlist.read_file path in
       let mig = Core.Mig_of_network.convert net in
       let before_size, before_depth = Core.Mig_passes.size_and_depth mig in
-      let optimized =
-        if portfolio then begin
-          let specs =
-            match (scripts, file) with
-            | [], None -> Core.Mig_flows.default_portfolio ~effort ()
-            | [], Some f -> [ (Filename.basename f, read_text f) ]
-            | scripts, None ->
-                List.mapi
-                  (fun i s -> (Printf.sprintf "script%d" (i + 1), s))
-                  scripts
-            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
-          in
-          let jobs = resolve_jobs jobs in
-          ctx "jobs" (Obs.Json.Int jobs);
-          ctx "portfolio" (Obs.Json.Int (List.length specs));
-          ctx "cost" (Obs.Json.String cost);
-          let winner, outcomes =
-            try Core.Mig_flows.portfolio ~arch ~jobs ~cost specs mig
-            with Invalid_argument msg -> failwith msg
-          in
-          (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
-          | Some o ->
-              res "winner" (Obs.Json.String o.Flow.o_label);
-              res "winner_cost" (Obs.Json.Float o.Flow.o_cost)
-          | None -> ());
-          Format.printf "portfolio: %d entrants, cost %s, %d worker domain%s@."
-            (List.length specs) cost jobs (if jobs = 1 then "" else "s");
-          List.iter
-            (fun o ->
-              Format.printf "  %-18s cost %10.1f  %6.2f s%s@." o.Flow.o_label
-                o.Flow.o_cost o.Flow.o_seconds
-                (if o.Flow.o_winner then "  <- winner" else ""))
-            outcomes;
-          winner
-        end
-        else begin
-          let text =
-            match (scripts, file) with
-            | [ s ], None -> s
-            | [], Some f -> read_text f
-            | _ :: _ :: _, _ -> failwith "repeated --script requires --portfolio"
-            | _ :: _, Some _ -> failwith "--script and --file are mutually exclusive"
-            | [], None -> failwith "one of --script, --file or --list-passes is required"
-          in
-          let flow =
-            match Core.Mig_flows.parse ~arch text with
-            | Ok flow -> flow
-            | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e)
-          in
-          let result = Core.Mig_flows.run ~name:"script" flow mig in
-          Format.printf "flow: %s@." (Flow.Script.to_string flow);
-          result
-        end
-      in
+      let optimized, outcomes = Core.Mig_flows.optimize ~name:"script" job mig in
+      if portfolio then begin
+        (match List.find_opt (fun o -> o.Flow.o_winner) outcomes with
+        | Some o ->
+            res "winner" (Obs.Json.String o.Flow.o_label);
+            res "winner_cost" (Obs.Json.Float o.Flow.o_cost)
+        | None -> ());
+        Format.printf "portfolio: %d entrants, cost %s, %d worker domain%s@."
+          (List.length scripts) cost jobs (if jobs = 1 then "" else "s");
+        List.iter
+          (fun o ->
+            Format.printf "  %-18s cost %10.1f  %6.2f s%s@." o.Flow.o_label
+              o.Flow.o_cost o.Flow.o_seconds
+              (if o.Flow.o_winner then "  <- winner" else ""))
+          outcomes
+      end
+      else
+        List.iter
+          (fun e -> Format.printf "flow: %s@." (Flow.Script.to_string e.Flow.flow))
+          job.Core.Mig_flows.entrants;
       if not (Core.Mig_equiv.equivalent_network optimized net) then
         failwith "internal error: the flow changed the function";
       let size, depth = Core.Mig_passes.size_and_depth optimized in
@@ -523,15 +520,16 @@ let map_cmd =
   let no_verify_arg =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip simulator verification.")
   in
-  let run obs path alg effort realization arch dump no_verify =
+  let run obs path algorithm effort realization arch dump no_verify =
+    let alg, optimize = algorithm_job ?algorithm effort in
     with_obs ~sub:"map" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
-    ctx "algorithm" (Obs.Json.String (Core.Mig_opt.algorithm_name alg));
+    ctx "algorithm" (Obs.Json.String alg);
     ctx "effort" (Obs.Json.Int effort);
     let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
     let net = Io.Netlist.read_file path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let mig = optimize (Core.Mig_of_network.convert net) in
     let program, placement =
       match arch with
       | Core.Rram_cost.Unbounded_serial ->
@@ -540,8 +538,7 @@ let map_cmd =
           res "steps" (Obs.Json.Int r.Rram.Compile_mig.measured_steps);
           Format.printf
             "%a realization after %s optimization:@.  Table I: %a@.  program: %d RRAMs, %d steps@."
-            Core.Rram_cost.pp_realization realization
-            (Core.Mig_opt.algorithm_name alg) Core.Rram_cost.pp
+            Core.Rram_cost.pp_realization realization alg Core.Rram_cost.pp
             r.Rram.Compile_mig.analytic r.Rram.Compile_mig.measured_rrams
             r.Rram.Compile_mig.measured_steps;
           (r.Rram.Compile_mig.program, Rram.Placement.place r.Rram.Compile_mig.program)
@@ -555,8 +552,7 @@ let map_cmd =
               res "waves" (Obs.Json.Int c.Rram.Compile_crossbar.waves);
               Format.printf
                 "%a realization after %s optimization, %s crossbar:@.  Table I (serial): %a@.  analytic: %a@.  measured: %a, %d waves@."
-                Core.Rram_cost.pp_realization realization
-                (Core.Mig_opt.algorithm_name alg)
+                Core.Rram_cost.pp_realization realization alg
                 (Core.Rram_cost.arch_to_string arch) Core.Rram_cost.pp
                 c.Rram.Compile_crossbar.serial Core.Rram_cost.pp_triple
                 c.Rram.Compile_crossbar.analytic Core.Rram_cost.pp_triple m
@@ -599,8 +595,9 @@ let compare_cmd =
     ctx "effort" (Obs.Json.Int effort);
     let net = Io.Netlist.read_file path in
     let mig = Core.Mig_of_network.convert net in
-    let rram_maj = Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj mig in
-    let rram_imp = Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Imp mig in
+    let run algorithm = snd (algorithm_job ~algorithm effort) mig in
+    let rram_maj = run "rram-costs-maj" in
+    let rram_imp = run "rram-costs-imp" in
     let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj rram_maj in
     let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp rram_imp in
     Format.printf "MIG-MAJ: %d RRAMs %d steps@.MIG-IMP: %d RRAMs %d steps@."
@@ -637,17 +634,18 @@ let plim_cmd =
   let dump_arg =
     Arg.(value & flag & info [ "p"; "program" ] ~doc:"Dump the RM3 instruction stream.")
   in
-  let run obs path alg effort dump =
+  let run obs path algorithm effort dump =
+    let alg, optimize = algorithm_job ?algorithm effort in
     with_obs ~sub:"plim" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     let net = Io.Netlist.read_file path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let mig = optimize (Core.Mig_of_network.convert net) in
     let c = Rram.Plim.compile mig in
     res "rm3_instructions" (Obs.Json.Int c.Rram.Plim.instructions);
     res "cells_used" (Obs.Json.Int c.Rram.Plim.cells_used);
     Format.printf
       "PLiM compilation after %s optimization:@.  %d RM3 instructions, %d cells (%.2f RM3/gate over %d gates)@."
-      (Core.Mig_opt.algorithm_name alg) c.Rram.Plim.instructions c.Rram.Plim.cells_used
+      alg c.Rram.Plim.instructions c.Rram.Plim.cells_used
       c.Rram.Plim.rm3_per_gate (Core.Mig.size mig);
     (match Rram.Plim.verify c.Rram.Plim.program mig with
     | Ok () -> Format.printf "  verified on the PLiM machine model@."
@@ -675,12 +673,13 @@ let export_cmd =
       required & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file.")
   in
-  let run obs path alg effort fmt out =
+  let run obs path algorithm effort fmt out =
+    let alg, optimize = algorithm_job ?algorithm effort in
     with_obs ~sub:"export" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "format" (Obs.Json.String fmt);
     let net = Io.Netlist.read_file path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let mig = optimize (Core.Mig_of_network.convert net) in
     let contents =
       match fmt with
       | "dot" -> Io.Export.mig_to_dot mig
@@ -690,8 +689,7 @@ let export_cmd =
             (Core.Mig_to_network.export mig)
     in
     Io.Export.write_file out contents;
-    Format.printf "wrote %s (%s) after %s optimization@." out fmt
-      (Core.Mig_opt.algorithm_name alg)
+    Format.printf "wrote %s (%s) after %s optimization@." out fmt alg
   in
   Cmd.v
     (Cmd.info "export"
@@ -802,27 +800,28 @@ let faults_cmd =
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:"Verification rounds of the resilient executor's remap/retry loop.")
   in
-  let run obs path alg effort realization rate trials seed attempts =
+  let run obs path algorithm effort realization rate trials seed attempts =
     if not (Float.is_finite rate && rate >= 0.0 && rate <= 1.0) then
       failwith (Printf.sprintf "--rate must be a probability in [0, 1] (got %g)" rate);
     if trials < 1 then
       failwith (Printf.sprintf "--trials must be at least 1 (got %d)" trials);
     if attempts < 1 then
       failwith (Printf.sprintf "--max-attempts must be at least 1 (got %d)" attempts);
+    let alg, optimize = algorithm_job ?algorithm effort in
     with_obs ~sub:"faults" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "rate" (Obs.Json.Float rate);
     ctx "trials" (Obs.Json.Int trials);
     ctx "seed" (Obs.Json.Int seed);
     let net = Io.Netlist.read_file path in
-    let mig = Core.Mig_opt.run ~effort alg (Core.Mig_of_network.convert net) in
+    let mig = optimize (Core.Mig_of_network.convert net) in
     let r = Rram.Compile_mig.compile realization mig in
     let program = r.Rram.Compile_mig.program in
     let reference = Core.Mig_sim.eval mig in
     let tmr = Rram.Tmr.protect program in
     Format.printf
       "%a realization after %s optimization: %d RRAMs, %d steps@.TMR-protected: %d RRAMs, %d steps (%d voted outputs)@."
-      Core.Rram_cost.pp_realization realization (Core.Mig_opt.algorithm_name alg)
+      Core.Rram_cost.pp_realization realization alg
       program.Rram.Program.num_regs (Rram.Program.num_steps program)
       tmr.Rram.Tmr.program.Rram.Program.num_regs
       (Rram.Program.num_steps tmr.Rram.Tmr.program)
@@ -953,13 +952,13 @@ let montecarlo_cmd =
         seed;
         jobs = Some (resolve_jobs jobs);
         effort;
-        algorithm = alg;
+        algorithm = Option.value alg ~default:default.algorithm;
         realization;
         vectors;
         max_attempts = attempts;
       }
     in
-    (match validate config with Ok () -> () | Error e -> failwith e);
+    (match validate config with Ok _ -> () | Error e -> failwith e);
     with_obs ~sub:"montecarlo" obs @@ fun () ->
     ctx "input" (Obs.Json.String path);
     ctx "trials" (Obs.Json.Int config.trials);
@@ -1016,10 +1015,11 @@ let profile_cmd =
       value & opt (some string) None
       & info [ "flow" ] ~docv:"SCRIPT"
           ~doc:
-            "Optimize with a flow script instead of the named algorithm \
-             (see $(b,migsyn flow --list-passes)).")
+            "Optimize with a flow script instead of an algorithm; not \
+             together with $(b,--algorithm) (see $(b,migsyn flow \
+             --list-passes)).")
   in
-  let run obs path alg effort realization arch max_vectors flow_script =
+  let run obs path algorithm effort realization arch max_vectors flow_script =
     (* profile always observes, with or without export flags *)
     Obs.set_enabled true;
     Obs.reset ();
@@ -1028,13 +1028,10 @@ let profile_cmd =
     ctx "effort" (Obs.Json.Int effort);
     let arch = parse_arch arch in
     ctx "arch" (Obs.Json.String (Core.Rram_cost.arch_to_string arch));
-    let flow =
-      Option.map
-        (fun text ->
-          match Core.Mig_flows.parse ~arch text with
-          | Ok flow -> flow
-          | Error e -> failwith (Format.asprintf "%a" Flow.Script.pp_error e))
-        flow_script
+    let job =
+      resolve ?algorithm
+        ~scripts:(List.map (fun s -> ("script", s)) (Option.to_list flow_script))
+        ~arch effort
     in
     let net =
       Obs.with_span ~cat:"profile" "profile/parse" (fun () -> Io.Netlist.read_file path)
@@ -1043,9 +1040,7 @@ let profile_cmd =
     let initial_size, initial_depth = Core.Mig.size mig, (Core.Mig_levels.compute mig).Core.Mig_levels.depth in
     let optimized =
       Obs.with_span ~cat:"profile" "profile/optimize" (fun () ->
-          match flow with
-          | Some flow -> Core.Mig_flows.run ~name:"script" flow mig
-          | None -> Core.Mig_opt.run ~effort alg mig)
+          fst (Core.Mig_flows.optimize job mig))
     in
     let size, depth =
       (Core.Mig.size optimized, (Core.Mig_levels.compute optimized).Core.Mig_levels.depth)
@@ -1077,7 +1072,7 @@ let profile_cmd =
       (Filename.basename path)
       (match flow_script with
       | Some script -> "flow '" ^ script ^ "'"
-      | None -> Core.Mig_opt.algorithm_name alg)
+      | None -> (List.hd job.Core.Mig_flows.entrants).Flow.label)
       effort Core.Rram_cost.pp_realization realization initial_size size initial_depth
       depth program.Rram.Program.num_regs
       (Rram.Program.num_steps program)
@@ -1438,8 +1433,9 @@ let client_cmd =
       value & opt (some string) None
       & info [ "a"; "algorithm" ] ~docv:"ALG"
           ~doc:
-            "Canonical algorithm name instead of --flow (area, depth, \
-             rram-costs-imp, rram-costs-maj, steps, bool-rewrite).")
+            ("Canonical algorithm name instead of --flow ("
+            ^ String.concat ", " Core.Mig_flows.canonical_names
+            ^ ")."))
   in
   let effort_opt_arg =
     Arg.(
@@ -1533,10 +1529,7 @@ let client_cmd =
                     jobs = (if jobs <= 0 then None else Some jobs);
                     cost;
                     arch;
-                    realization =
-                      (match realization with
-                      | Core.Rram_cost.Imp -> "imp"
-                      | Core.Rram_cost.Maj -> "maj");
+                    realization = Core.Rram_cost.realization_to_string realization;
                     verify = not no_verify;
                   };
             }

@@ -10,7 +10,7 @@
 let report name net =
   let mig = Core.Mig_of_network.convert net in
   let before = Core.Rram_cost.of_mig Core.Rram_cost.Maj mig in
-  let optimized = Core.Mig_opt.steps ~effort:15 mig in
+  let optimized = Core.Mig_opt.run ~effort:15 Core.Mig_opt.Steps mig in
   assert (Core.Mig_equiv.equivalent_network optimized net);
   let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj optimized in
   let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp optimized in

@@ -15,7 +15,7 @@
 let () =
   Format.printf "Functional yield under stuck-at faults (Monte-Carlo, 200 trials)@.@.";
   let net = Logic.Funcgen.rd 5 3 in
-  let mig = Core.Mig_opt.steps ~effort:10 (Core.Mig_of_network.convert net) in
+  let mig = Core.Mig_opt.run ~effort:10 Core.Mig_opt.Steps (Core.Mig_of_network.convert net) in
   let reference = Core.Mig_sim.eval mig in
   Format.printf "circuit: rd53 (%d gates after step optimization)@.@." (Core.Mig.size mig);
   Format.printf "%-10s | %-22s | %-22s@." "fault rate" "IMP (6 dev/gate)" "MAJ (4 dev/gate)";

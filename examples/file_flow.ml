@@ -34,7 +34,7 @@ let () =
       Core.Mig_opt.Rram_costs Core.Rram_cost.Maj;
       Core.Mig_opt.Steps;
     ];
-  let best = Core.Mig_opt.steps ~effort:15 mig in
+  let best = Core.Mig_opt.run ~effort:15 Core.Mig_opt.Steps mig in
   let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj best in
   (match Rram.Verify.against_network compiled.Rram.Compile_mig.program net with
   | Ok () -> Format.printf "@.compiled MAJ program verified on the device simulator@."

@@ -18,7 +18,7 @@ let () =
   Format.printf "initial MIG: %a@." Core.Mig.pp_stats mig;
 
   (* 2. Optimize for computational steps (Alg. 4 of the paper). *)
-  let optimized = Core.Mig_opt.steps mig in
+  let optimized = Core.Mig_opt.run Core.Mig_opt.Steps mig in
   Format.printf "after step optimization: %a@." Core.Mig.pp_stats optimized;
   assert (Core.Mig_equiv.equivalent mig optimized);
 

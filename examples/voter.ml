@@ -66,7 +66,7 @@ let () =
   Format.printf "@.Fault-detecting voter (vote + per-module disagreement flags), width 8:@.";
   let mig = voter_with_disagreement 8 in
   Format.printf "  initial: %a@." Core.Mig.pp_stats mig;
-  let optimized = Core.Mig_opt.steps ~effort:10 mig in
+  let optimized = Core.Mig_opt.run ~effort:10 Core.Mig_opt.Steps mig in
   assert (Core.Mig_equiv.equivalent mig optimized);
   List.iter
     (fun realization ->

@@ -106,9 +106,6 @@ let bnot t f = ite t f bfalse btrue
 let band t f g = ite t f g bfalse
 let bor t f g = ite t f btrue g
 let bxor t f g = ite t f (bnot t g) g
-let bnand t f g = bnot t (band t f g)
-let bnor t f g = bnot t (bor t f g)
-let bxnor t f g = bnot t (bxor t f g)
 let maj3 t f g h = bor t (band t f g) (bor t (band t f h) (band t g h))
 
 let rec eval t n a =
@@ -165,5 +162,4 @@ let of_truth_table t tt =
   in
   build tt 0
 
-let clear_cache t = Hashtbl.reset t.computed
 let size t = t.n

@@ -80,6 +80,3 @@ let check mig =
   match !errors with
   | [] -> Ok ()
   | errs -> Error (String.concat "; " (List.rev errs))
-
-let check_exn mig =
-  match check mig with Ok () -> () | Error msg -> failwith ("Mig_check: " ^ msg)

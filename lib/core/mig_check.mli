@@ -8,6 +8,3 @@
     rewrite storms; O(n log n). *)
 
 val check : Mig.t -> (unit, string) result
-
-val check_exn : Mig.t -> unit
-(** Raises [Failure] with the violation description. *)

@@ -154,29 +154,79 @@ let canonical_script ?(effort = Flow.default_effort) name =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Portfolio                                                           *)
+(* Optimization requests                                               *)
 (* ------------------------------------------------------------------ *)
 
 let default_cost = "weighted_maj"
 
-let cost_fn ?arch name =
-  match List.assoc_opt name (costs ?arch ()) with
-  | Some f -> f
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Mig_flows.portfolio: unknown cost '%s'%s" name
-           (match Flow.suggest ~candidates:(List.map fst (costs ())) name with
-           | Some s -> Printf.sprintf " (did you mean '%s'?)" s
-           | None -> ""))
+type job = {
+  entrants : Mig.t Flow.entrant list;
+  flow_text : string;
+  cost : Mig.t -> float;
+  jobs : int option;
+  race : bool;
+}
 
-let portfolio ?arch ?jobs ?(cost = default_cost) specs mig =
-  let cost = cost_fn ?arch cost in
-  let entrants =
-    List.map
-      (fun (label, script) -> { Flow.label; flow = parse_exn ?arch script })
-      specs
+let resolve ?algorithm ?(scripts = []) ?(effort = Flow.default_effort)
+    ?(cost = default_cost) ?arch ?jobs ?(race = false) () =
+  let ( let* ) = Result.bind in
+  let error fmt = Printf.ksprintf Result.error fmt in
+  let* specs =
+    match (algorithm, scripts) with
+    | None, (_ :: _ as specs) -> Ok specs
+    | Some _, _ :: _ -> error "an algorithm and flow scripts are mutually exclusive"
+    | _, [] -> (
+        let name = match algorithm with None | Some "" -> "steps" | Some name -> name in
+        match canonical_script ~effort name with
+        | None ->
+            error "unknown algorithm %S (expected %s)" name
+              (String.concat ", " canonical_names)
+        | Some _ when effort < 1 -> error "effort must be at least 1 (got %d)" effort
+        | Some script -> Ok [ (name, script) ])
   in
-  Flow.portfolio ~ops ~span_prefix:"mig.opt" ?jobs ~cost entrants mig
+  let costs = costs ?arch () in
+  let rec parse_all = function
+    | [] -> Ok []
+    | (label, script) :: rest -> (
+        match Flow.Script.parse ~registry ~costs script with
+        | Error e ->
+            error "flow %s: %s" label (Format.asprintf "%a" Flow.Script.pp_error e)
+        | Ok flow ->
+            let* tail = parse_all rest in
+            Ok ({ Flow.label; flow } :: tail))
+  in
+  let* entrants = parse_all specs in
+  let* cost_fn =
+    match List.assoc_opt cost costs with
+    | Some f -> Ok f
+    | None ->
+        error "unknown cost %S (expected one of %s)" cost
+          (String.concat ", " (List.map fst costs))
+  in
+  let race = race || List.compare_length_with specs 1 > 0 in
+  let flow_text =
+    if race then
+      Printf.sprintf "portfolio(%s){%s}" cost (String.concat " | " (List.map snd specs))
+    else snd (List.hd specs)
+  in
+  Ok { entrants; flow_text; cost = cost_fn; jobs; race }
+
+let optimize ?name job mig =
+  match job.entrants with
+  | [ { Flow.label; flow } ] when not job.race ->
+      (run ~name:(Option.value name ~default:label) flow mig, [])
+  | entrants ->
+      Flow.portfolio ~ops ~span_prefix:"mig.opt" ?jobs:job.jobs ~cost:job.cost
+        entrants mig
+
+let run_request ?name ?algorithm ?scripts ?effort ?cost ?arch ?jobs ?race mig =
+  match resolve ?algorithm ?scripts ?effort ?cost ?arch ?jobs ?race () with
+  | Ok job -> optimize ?name job mig
+  | Error e -> invalid_arg e
+
+let portfolio ?arch ?jobs ?cost specs mig =
+  if specs = [] then invalid_arg "Mig_flows.portfolio: empty entrant list";
+  run_request ~scripts:specs ?cost ?arch ?jobs ~race:true mig
 
 let default_portfolio ?effort () =
   List.filter_map

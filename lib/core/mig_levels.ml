@@ -57,10 +57,5 @@ let num_levels_with_compl t =
   Array.iter (fun c -> if c > 0 then incr count) t.compl_per_level;
   !count
 
-let critical_fanin_level t mig g =
-  let m = ref 0 in
-  Array.iter (fun s -> m := max !m t.level.(Mig.node_of s)) (Mig.fanins mig g);
-  !m
-
 let pp ppf t =
   Format.fprintf ppf "depth=%d levels_with_compl=%d" t.depth (num_levels_with_compl t)

@@ -39,7 +39,4 @@ val of_level_assignment : Mig.t -> int array -> t
 val num_levels_with_compl : t -> int
 (** [L] of Table I, including the virtual readout stage. *)
 
-val critical_fanin_level : t -> Mig.t -> int -> int
-(** Maximum fanin level of a gate. *)
-
 val pp : Format.formatter -> t -> unit

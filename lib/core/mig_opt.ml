@@ -1,29 +1,10 @@
-(* The paper's Algs. 1–4 (and the Boolean extension), as thin wrappers over
-   the Flow pass manager: each entry point parses its canonical flow script
-   (see Mig_flows.canonical_script) and runs it under its legacy
-   observability name.  The convergence loop, per-cycle cleanup, trajectory
-   sampling and span structure all live in the generic Flow engine now. *)
+(* The paper's Algs. 1–4 (and the Boolean extension) as a typed name for
+   their canonical flow scripts: [run] resolves the algorithm's name
+   through Mig_flows and runs it under that name.  The convergence loop,
+   per-cycle cleanup, trajectory sampling and span structure all live in
+   the generic Flow engine. *)
 
 let default_effort = Flow.default_effort
-
-let run_canonical ~name ?effort mig =
-  match Mig_flows.canonical_script ?effort name with
-  | Some script -> Mig_flows.run ~name (Mig_flows.parse_exn script) mig
-  | None -> invalid_arg ("Mig_opt: unknown canonical flow " ^ name)
-
-let area ?effort mig = run_canonical ~name:"area" ?effort mig
-let depth ?effort mig = run_canonical ~name:"depth" ?effort mig
-
-let rram_costs ?effort realization mig =
-  let name =
-    match realization with
-    | Rram_cost.Imp -> "rram-costs-imp"
-    | Rram_cost.Maj -> "rram-costs-maj"
-  in
-  run_canonical ~name ?effort mig
-
-let steps ?effort mig = run_canonical ~name:"steps" ?effort mig
-let boolean ?effort mig = run_canonical ~name:"bool-rewrite" ?effort mig
 
 type algorithm =
   | Area
@@ -32,14 +13,6 @@ type algorithm =
   | Steps
   | Boolean  (** extension: area + cut-based Boolean rewriting *)
 
-let run ?effort alg mig =
-  match alg with
-  | Area -> area ?effort mig
-  | Depth -> depth ?effort mig
-  | Rram_costs r -> rram_costs ?effort r mig
-  | Steps -> steps ?effort mig
-  | Boolean -> boolean ?effort mig
-
 let algorithm_name = function
   | Area -> "area"
   | Depth -> "depth"
@@ -47,3 +20,6 @@ let algorithm_name = function
   | Rram_costs Rram_cost.Maj -> "rram-costs-maj"
   | Steps -> "steps"
   | Boolean -> "bool-rewrite"
+
+let run ?effort alg mig =
+  fst (Mig_flows.run_request ~algorithm:(algorithm_name alg) ?effort mig)

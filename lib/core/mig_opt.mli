@@ -1,11 +1,24 @@
-(** The four MIG optimization algorithms of the paper (Algs. 1–4).
+(** The four MIG optimization algorithms of the paper (Algs. 1–4), plus
+    the Boolean extension, as a typed algorithm name.
 
-    Since the pass-manager refactor these are {e thin wrappers}: each entry
-    point parses its canonical flow script ({!Mig_flows.canonical_script})
-    and runs it on the generic {!Flow} engine, so
+    Each constructor stands for one of {!Mig_flows.canonical_names}, and
+    {!run} resolves and runs that name through {!Mig_flows.run_request}
+    ({!Mig_flows.resolve}, then {!Mig_flows.optimize}) — the same front
+    door the CLI, the daemon and the experiment drivers use — so
     [migsyn flow --script "cycle(40){eliminate; reshape; eliminate}; eliminate"]
-    reproduces [area] exactly, and user scripts can recombine the same
+    reproduces [run Area] exactly, and user scripts can recombine the same
     registered passes with cost-guarded acceptance ([accept_if]).
+
+    - [Area] (Alg. 1): per cycle \[eliminate; reshape; eliminate\], final
+      eliminate.
+    - [Depth] (Alg. 2): per cycle \[push-up; Ψ.R; push-up\], final push-up.
+    - [Rram_costs r] (Alg. 3): multi-objective (RRAM count, step count)
+      optimization, per cycle \[push-up; Ω.I(1–3) with weighted-gain
+      acceptance under realization [r]; push-up; balance\], final push-up.
+    - [Steps] (Alg. 4): per cycle \[push-up; Ω.I case (1); Ω.I(1–3);
+      push-up\], final push-up.
+    - [Boolean] (not in the paper): Alg. 1 followed by NPN-cached cut-based
+      Boolean rewriting ({!Mig_cut_rewrite}) and a final eliminate.
 
     Every optimizer is functional: it copies its input (via
     {!Mig.cleanup}-style compaction between cycles) and returns a new,
@@ -23,28 +36,6 @@
 val default_effort : int
 (** 40, the paper's setting. *)
 
-val area : ?effort:int -> Mig.t -> Mig.t
-(** Alg. 1 — conventional area optimization:
-    per cycle \[eliminate; reshape; eliminate\], final eliminate. *)
-
-val depth : ?effort:int -> Mig.t -> Mig.t
-(** Alg. 2 — conventional depth optimization:
-    per cycle \[push-up; Ψ.R; push-up\], final push-up. *)
-
-val rram_costs : ?effort:int -> Rram_cost.realization -> Mig.t -> Mig.t
-(** Alg. 3 — multi-objective optimization of the (RRAM count, step count)
-    pair: per cycle \[push-up; Ω.I(1–3) with weighted-gain acceptance;
-    push-up; balance\], final push-up.  The realization fixes the constants
-    of the cost model used in the acceptance test. *)
-
-val steps : ?effort:int -> Mig.t -> Mig.t
-(** Alg. 4 — step-count optimization:
-    per cycle \[push-up; Ω.I case (1); Ω.I(1–3); push-up\], final push-up. *)
-
-val boolean : ?effort:int -> Mig.t -> Mig.t
-(** Extension (not in the paper): Alg. 1 followed by NPN-cached cut-based
-    Boolean rewriting ({!Mig_cut_rewrite}) and a final eliminate. *)
-
 type algorithm =
   | Area
   | Depth
@@ -52,5 +43,9 @@ type algorithm =
   | Steps
   | Boolean  (** extension: area + cut-based Boolean rewriting *)
 
-val run : ?effort:int -> algorithm -> Mig.t -> Mig.t
 val algorithm_name : algorithm -> string
+(** The algorithm's entry of {!Mig_flows.canonical_names}. *)
+
+val run : ?effort:int -> algorithm -> Mig.t -> Mig.t
+(** Run the algorithm at [effort] (default {!default_effort}) under its
+    name.  @raise Invalid_argument when [effort] is below 1. *)

@@ -1,5 +1,12 @@
 type realization = Imp | Maj
 
+let realization_to_string = function Imp -> "imp" | Maj -> "maj"
+
+let realization_of_string = function
+  | "imp" -> Some Imp
+  | "maj" -> Some Maj
+  | _ -> None
+
 let rrams_per_gate = function Imp -> 6 | Maj -> 4
 let steps_per_level = function Imp -> 10 | Maj -> 3
 
@@ -64,9 +71,6 @@ let of_mig realization mig =
       ~steps_per_level:(steps_per_level realization)
   in
   { rrams; steps }
-
-let pareto_better a b =
-  a.rrams <= b.rrams && a.steps <= b.steps && (a.rrams < b.rrams || a.steps < b.steps)
 
 type triple = { devices : int; latency : int; utilization : float }
 

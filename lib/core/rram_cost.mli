@@ -13,6 +13,13 @@
 
 type realization = Imp | Maj
 
+val realization_to_string : realization -> string
+(** ["imp"] or ["maj"]: the realization's name on the command line and in
+    the daemon protocol. *)
+
+val realization_of_string : string -> realization option
+(** The inverse of {!realization_to_string}; [None] for any other text. *)
+
 val rrams_per_gate : realization -> int
 (** 6 for IMP, 4 for MAJ. *)
 
@@ -46,8 +53,6 @@ type cost = { rrams : int; steps : int }
 val of_levels : realization -> Mig_levels.t -> cost
 val of_mig : realization -> Mig.t -> cost
 
-val pareto_better : cost -> cost -> bool
-(** [pareto_better a b]: [a] dominates [b] (≤ in both metrics, < in one). *)
 
 (** {1 The crossbar cost triple} *)
 

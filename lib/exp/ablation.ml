@@ -6,7 +6,10 @@ let effort_sweep ?(efforts = [ 0; 2; 5; 10; 20; 40 ]) e =
   let mig = mig_of e in
   List.map
     (fun effort ->
-      let optimized = if effort = 0 then Core.Mig.cleanup mig else Core.Mig_opt.steps ~effort mig in
+      let optimized =
+        if effort = 0 then Core.Mig.cleanup mig
+        else Core.Mig_opt.run ~effort Core.Mig_opt.Steps mig
+      in
       (effort, maj_cost optimized))
     efforts
 
@@ -32,7 +35,7 @@ let rule_ablation ?(effort = 20) e =
         fun () -> drive (fun m -> Core.Mig_passes.push_up ~through_compl:false m) );
       ("push-up only", fun () -> drive (fun m -> Core.Mig_passes.push_up m));
       ( "push-up + Ω.I (full Alg. 4)",
-        fun () -> Core.Mig_opt.steps ~effort source );
+        fun () -> Core.Mig_opt.run ~effort Core.Mig_opt.Steps source );
       ( "Alg. 4 without the Ω.I passes",
         fun () ->
           drive (fun m ->
@@ -40,7 +43,7 @@ let rule_ablation ?(effort = 20) e =
               let b = Core.Mig_passes.push_up m in
               a || b) );
       ( "Alg. 2 (depth, with Ψ.R)",
-        fun () -> Core.Mig_opt.depth ~effort source );
+        fun () -> Core.Mig_opt.run ~effort Core.Mig_opt.Depth source );
     ]
   in
   List.map
@@ -98,7 +101,7 @@ type plim_comparison = {
 }
 
 let plim_row ?(effort = 20) e =
-  let mig = Core.Mig_opt.steps ~effort (mig_of e) in
+  let mig = Core.Mig_opt.run ~effort Core.Mig_opt.Steps (mig_of e) in
   let plim = Rram.Plim.compile mig in
   let maj = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
   let imp = Rram.Compile_mig.compile Core.Rram_cost.Imp mig in
@@ -111,7 +114,7 @@ let plim_row ?(effort = 20) e =
   }
 
 let schedule_row ?(effort = 20) e =
-  let mig = Core.Mig_opt.steps ~effort (mig_of e) in
+  let mig = Core.Mig_opt.run ~effort Core.Mig_opt.Steps (mig_of e) in
   let asap = Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.asap mig) in
   let bal =
     Core.Rram_cost.of_levels Core.Rram_cost.Maj (Core.Mig_schedule.balanced mig)
@@ -120,7 +123,7 @@ let schedule_row ?(effort = 20) e =
 
 let yield_curve ?seed ?(effort = 10) ?(realization = Core.Rram_cost.Maj)
     ?(rates = [ 0.003; 0.01; 0.03 ]) ?(trials = 150) e =
-  let mig = Core.Mig_opt.steps ~effort (mig_of e) in
+  let mig = Core.Mig_opt.run ~effort Core.Mig_opt.Steps (mig_of e) in
   let compiled = Rram.Compile_mig.compile realization mig in
   let reference = Core.Mig_sim.eval mig in
   List.map
@@ -131,8 +134,8 @@ let yield_curve ?seed ?(effort = 10) ?(realization = Core.Rram_cost.Maj)
 
 let boolean_rewrite_row ?(effort = 10) e =
   let mig = mig_of e in
-  let area = Core.Mig_opt.area ~effort mig in
-  let boolean = Core.Mig_opt.boolean ~effort mig in
+  let area = Core.Mig_opt.run ~effort Core.Mig_opt.Area mig in
+  let boolean = Core.Mig_opt.run ~effort Core.Mig_opt.Boolean mig in
   (Core.Mig.size mig, Core.Mig.size area, Core.Mig.size boolean)
 
 let pp_effort_sweep ppf rows =

@@ -56,7 +56,8 @@ let mark_pareto ~serial points =
 let row ?effort ~realization (e : Io.Benchmarks.entry) =
   Obs.with_span ~cat:"exp" ("exp/crossbar/" ^ e.Io.Benchmarks.name) @@ fun () ->
   let mig =
-    Core.Mig_opt.steps ?effort (Core.Mig_of_network.convert (e.Io.Benchmarks.build ()))
+    Core.Mig_opt.run ?effort Core.Mig_opt.Steps
+      (Core.Mig_of_network.convert (e.Io.Benchmarks.build ()))
   in
   let serial = Rram.Compile_mig.compile realization mig in
   let fitted = Rram.Compile_crossbar.fit realization mig in

@@ -35,11 +35,11 @@ let table2_row ?effort (e : Io.Benchmarks.entry) =
   let net = e.Io.Benchmarks.build () in
   let mig = Core.Mig_of_network.convert net in
   let cost realization m = Core.Rram_cost.of_mig realization m in
-  let area = Core.Mig_opt.area ?effort mig in
-  let depth = Core.Mig_opt.depth ?effort mig in
-  let rram_i = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Imp mig in
-  let rram_m = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Maj mig in
-  let step = Core.Mig_opt.steps ?effort mig in
+  let area = Core.Mig_opt.run ?effort Core.Mig_opt.Area mig in
+  let depth = Core.Mig_opt.run ?effort Core.Mig_opt.Depth mig in
+  let rram_i = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp) mig in
+  let rram_m = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj) mig in
+  let step = Core.Mig_opt.run ?effort Core.Mig_opt.Steps mig in
   {
     name = e.Io.Benchmarks.name;
     inputs = e.Io.Benchmarks.inputs;
@@ -150,8 +150,8 @@ let table3_bdd_row ?effort ?(bdd_max_nodes = 2_000_000) (e : Io.Benchmarks.entry
   let lev = Rram.Compile_bdd.compile ~mode:`Levelized built in
   let seq = Rram.Compile_bdd.compile ~mode:`Sequential built in
   let mig = Core.Mig_of_network.convert net in
-  let rram_i = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Imp mig in
-  let rram_m = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Maj mig in
+  let rram_i = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp) mig in
+  let rram_m = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj) mig in
   {
     name = e.Io.Benchmarks.name;
     bdd_nodes = lev.Rram.Compile_bdd.bdd_nodes;
@@ -235,8 +235,8 @@ let table3_aig_row ?effort (e : Io.Benchmarks.entry) =
   in
   let compiled = Rram.Compile_aig.compile ~mode:`Sequential aig in
   let mig = Core.Mig_of_network.convert net in
-  let rram_i = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Imp mig in
-  let rram_m = Core.Mig_opt.rram_costs ?effort Core.Rram_cost.Maj mig in
+  let rram_i = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Imp) mig in
+  let rram_m = Core.Mig_opt.run ?effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj) mig in
   {
     name = e.Io.Benchmarks.name;
     aig_nodes = compiled.Rram.Compile_aig.aig_nodes;
@@ -275,24 +275,9 @@ let pp_table3_aig ppf rows =
 (* Profiled suite run and JSON export (bench --json)                   *)
 (* ------------------------------------------------------------------ *)
 
-type flow_spec = { flow_name : string; script : string }
-
-let default_flows ?effort () =
-  List.filter_map
-    (fun name ->
-      (* table2's five columns; bool-rewrite is the beyond-paper extra *)
-      if name = "bool-rewrite" then None
-      else
-        Option.map
-          (fun script -> { flow_name = name; script })
-          (Core.Mig_flows.canonical_script ?effort name))
-    Core.Mig_flows.canonical_names
-
-let run_flow spec mig =
-  Core.Mig_flows.run ~name:spec.flow_name (Core.Mig_flows.parse_exn spec.script) mig
-
 type timed_alg = {
-  flow : flow_spec;
+  label : string;
+  script : string;
   size : int;
   depth : int;
   imp : cost;
@@ -311,18 +296,21 @@ type profile_row = {
 
 let profile_row ?effort ?flows (e : Io.Benchmarks.entry) =
   Obs.with_span ~cat:"exp" ("exp/profile/" ^ e.Io.Benchmarks.name) @@ fun () ->
-  let flows = match flows with Some fs -> fs | None -> default_flows ?effort () in
+  let flows =
+    match flows with Some fs -> fs | None -> Core.Mig_flows.default_portfolio ?effort ()
+  in
   let mig = Core.Mig_of_network.convert (e.Io.Benchmarks.build ()) in
   let initial_size, initial_depth = Core.Mig_passes.size_and_depth mig in
   let algs =
     List.map
-      (fun flow ->
+      (fun (label, script) ->
         let t0 = Obs.now_ns () in
-        let optimized = run_flow flow mig in
+        let optimized, _ = Core.Mig_flows.run_request ~scripts:[ (label, script) ] mig in
         let seconds = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
         let size, depth = Core.Mig_passes.size_and_depth optimized in
         {
-          flow;
+          label;
+          script;
           size;
           depth;
           imp = Core.Rram_cost.of_mig Core.Rram_cost.Imp optimized;
@@ -376,8 +364,8 @@ let profile_json ~effort ~elapsed_seconds rows =
                           (fun (a : timed_alg) ->
                             Assoc
                               [
-                                ("algorithm", String a.flow.flow_name);
-                                ("script", String a.flow.script);
+                                ("algorithm", String a.label);
+                                ("script", String a.script);
                                 ("size", Int a.size);
                                 ("depth", Int a.depth);
                                 ("imp", cost_json a.imp);
@@ -398,7 +386,7 @@ let ( let* ) = Result.bind
 let verify_entry ?(effort = 8) (e : Io.Benchmarks.entry) =
   let net = e.Io.Benchmarks.build () in
   let mig = Core.Mig_of_network.convert net in
-  let optimized = Core.Mig_opt.rram_costs ~effort Core.Rram_cost.Maj mig in
+  let optimized = Core.Mig_opt.run ~effort (Core.Mig_opt.Rram_costs Core.Rram_cost.Maj) mig in
   if not (Core.Mig_equiv.equivalent_network ~rounds:8 optimized net) then
     Error "optimized MIG differs from source network"
   else

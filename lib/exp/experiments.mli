@@ -69,24 +69,9 @@ val table3_aig : ?effort:int -> ?jobs:int -> unit -> aig_row list
 
 val pp_table3_aig : Format.formatter -> aig_row list -> unit
 
-type flow_spec = {
-  flow_name : string;  (** display/JSON name, e.g. ["area"] or ["custom/x"] *)
-  script : string;  (** the flow-script text; parsed by {!Core.Mig_flows} *)
-}
-(** A named, scriptable optimization pipeline.  The experiment drivers take
-    flows rather than a closed algorithm variant, so custom pipelines are
-    benchable side-by-side with the paper's. *)
-
-val default_flows : ?effort:int -> unit -> flow_spec list
-(** The five paper algorithms (Table II order) as their canonical flow
-    scripts at the given effort. *)
-
-val run_flow : flow_spec -> Core.Mig.t -> Core.Mig.t
-(** Parse and run a flow on a MIG.  @raise Invalid_argument on a script
-    error (the CLI validates scripts before reaching this). *)
-
 type timed_alg = {
-  flow : flow_spec;  (** the pipeline this row measured *)
+  label : string;  (** display/JSON name, e.g. ["area"] or ["custom/x"] *)
+  script : string;  (** the flow script this row measured *)
   size : int;  (** MIG gate count after the flow *)
   depth : int;  (** MIG depth after the flow *)
   imp : cost;
@@ -103,20 +88,25 @@ type profile_row = {
   algs : timed_alg list;  (** one entry per flow, in the given order *)
 }
 
-val profile_row : ?effort:int -> ?flows:flow_spec list -> Io.Benchmarks.entry -> profile_row
+val profile_row :
+  ?effort:int -> ?flows:(string * string) list -> Io.Benchmarks.entry -> profile_row
 
 val profile :
   ?effort:int ->
-  ?flows:flow_spec list ->
+  ?flows:(string * string) list ->
   ?jobs:int ->
   ?entries:Io.Benchmarks.entry list ->
   unit ->
   profile_row list
 (** Per-benchmark before/after shape and per-flow wall time over [entries]
     (default: the Table II suite) — the machine-readable counterpart of
-    [table2], used by [bench --json].  [flows] defaults to {!default_flows};
-    extra named custom flows appear as additional rows, distinguishable in
-    the perf trajectory by their recorded name and script.  [jobs] (default
+    [table2], used by [bench --json].  [flows] are [(label, script)]
+    entrants, each resolved and run through {!Core.Mig_flows.resolve}; they
+    default to the five paper algorithms
+    ({!Core.Mig_flows.default_portfolio} at [effort]).  Extra named custom
+    flows appear as additional rows, distinguishable in the perf trajectory
+    by their recorded name and script.
+    @raise Invalid_argument on a bad script.  [jobs] (default
     [1]) fans benchmarks out over a {!Par} pool; rows are identical to the
     sequential run except for the [seconds] wall-time fields. *)
 

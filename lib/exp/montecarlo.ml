@@ -9,7 +9,7 @@ type config = {
   seed : int;
   jobs : int option;
   effort : int;
-  algorithm : Core.Mig_opt.algorithm;
+  algorithm : string;
   realization : Core.Rram_cost.realization;
   vectors : int;
   max_attempts : int;
@@ -24,7 +24,7 @@ let default =
     seed = 0xCA4E;
     jobs = None;
     effort = 10;
-    algorithm = Core.Mig_opt.Steps;
+    algorithm = "steps";
     realization = Core.Rram_cost.Maj;
     vectors = 32;
     max_attempts = 4;
@@ -48,8 +48,10 @@ let validate c =
         else if c.max_attempts < 1 then
           err "max-attempts must be at least 1 (got %d)" c.max_attempts
         else if c.spares < 0 then err "spares must be non-negative (got %d)" c.spares
-        else if c.effort < 0 then err "effort must be non-negative (got %d)" c.effort
-        else Rram.Variation.validate c.base
+        else
+          match Core.Mig_flows.resolve ~algorithm:c.algorithm ~effort:c.effort () with
+          | Error e -> Error e
+          | Ok job -> Result.map (fun () -> job) (Rram.Variation.validate c.base)
   end
 
 type estimate = { successes : int; trials : int; yield : float; lo : float; hi : float }
@@ -110,14 +112,13 @@ let survived arm ok =
   (arm, ok)
 
 let run ?(config = default) ~name net =
-  (match validate config with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Montecarlo.run: " ^ e));
-  let t0 = Obs.now_ns () in
-  let mig =
-    Core.Mig_opt.run ~effort:config.effort config.algorithm
-      (Core.Mig_of_network.convert net)
+  let job =
+    match validate config with
+    | Ok job -> job
+    | Error e -> invalid_arg ("Montecarlo.run: " ^ e)
   in
+  let t0 = Obs.now_ns () in
+  let mig = fst (Core.Mig_flows.optimize job (Core.Mig_of_network.convert net)) in
   let compile r = (Rram.Compile_mig.compile r mig).Rram.Compile_mig.program in
   let imp = compile Core.Rram_cost.Imp and maj = compile Core.Rram_cost.Maj in
   let primary =

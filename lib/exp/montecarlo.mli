@@ -30,7 +30,7 @@ type config = {
   seed : int;  (** campaign master seed *)
   jobs : int option;  (** worker domains; [None] = {!Par.recommended_jobs} *)
   effort : int;  (** optimization effort before compiling *)
-  algorithm : Core.Mig_opt.algorithm;
+  algorithm : string;  (** one of {!Core.Mig_flows.canonical_names} *)
   realization : Core.Rram_cost.realization;  (** primary (protected) arm *)
   vectors : int;  (** test vectors evaluated per execution (≥ 1) *)
   max_attempts : int;  (** controller verification rounds (≥ 1) *)
@@ -43,10 +43,12 @@ val default : config
     effort 10 [steps] optimization, MAJ primary, 32 vectors, 4 attempts,
     32 spares, {!Rram.Variation.nominal} devices. *)
 
-val validate : config -> (unit, string) result
-(** Rejects non-positive trial/vector/attempt counts, an empty or negative
-    (or non-finite) sigma axis, negative spares or effort, and any
-    {!Rram.Variation.validate} failure of [base]. *)
+val validate : config -> (Core.Mig_flows.job, string) result
+(** The campaign's resolved optimization job, once [config] passes.
+    Rejects non-positive trial/vector/attempt counts, an empty or negative
+    (or non-finite) sigma axis, negative spares, an algorithm or effort
+    {!Core.Mig_flows.resolve} rejects, and any {!Rram.Variation.validate}
+    failure of [base]. *)
 
 type estimate = {
   successes : int;

@@ -22,6 +22,15 @@ let format_of_path path =
         fail ~source:path
           (Printf.sprintf "unsupported netlist extension %s %s" ext expected)
 
+let input_only ~source format =
+  fail ~source
+    (Printf.sprintf "%s is an input format only (expected %s)"
+       (String.uppercase_ascii format) (String.concat ", " output_formats))
+
+let output_format_of_path path =
+  let format = format_of_path path in
+  if List.mem format output_formats then format else input_only ~source:path format
+
 (* Every failure of a reader is a fault of the text it was handed, so the
    boundary turns all of them — the four Parse_errors, and the Failure or
    Invalid_argument a reader may still raise on input it does not
@@ -52,11 +61,8 @@ let codec ~source ?model_name = function
       { of_string = Bench_format.parse_string; of_file = Bench_format.parse_file;
         to_string = Bench_format.write_string }
   | "pla" ->
-      let to_string _ =
-        fail ~source
-          ("PLA is an input format only (expected " ^ String.concat ", " output_formats ^ ")")
-      in
-      { of_string = Pla.parse_string; of_file = Pla.parse_file; to_string }
+      { of_string = Pla.parse_string; of_file = Pla.parse_file;
+        to_string = (fun _ -> input_only ~source "pla") }
   | "aag" ->
       { of_string = Aiger.parse_string; of_file = Aiger.parse_file;
         to_string = Aiger.write_network }
@@ -81,5 +87,5 @@ let write_string ?model_name format net =
   guard ~source:format (fun () -> c.to_string net)
 
 let write_file ?model_name path net =
-  let c = codec ~source:path ?model_name (format_of_path path) in
+  let c = codec ~source:path ?model_name (output_format_of_path path) in
   guard ~source:path (fun () -> Export.write_file path (c.to_string net))

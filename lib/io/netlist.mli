@@ -26,6 +26,12 @@ val format_of_path : string -> string
 (** The format name of a file path's extension.
     @raise Error on a missing or unknown extension. *)
 
+val output_format_of_path : string -> string
+(** The format of a path that {!write_file} can write — the check a
+    writer runs before any work, so a bad [-o] fails fast.
+    @raise Error on a missing or unknown extension, or an input-only
+    format (["PATH: PLA is an input format only (expected ...)"]). *)
+
 val read_string : string -> string -> Logic.Network.t
 (** [read_string format text] parses inline circuit text, named
     ["circuit"] in errors.

@@ -117,8 +117,6 @@ let input_id t i =
   if i < 0 || i >= t.input_count then invalid_arg "Network.input_id: out of range";
   t.inputs.(i)
 
-let find_input t name = Hashtbl.find_opt t.names name
-
 let fold_reduce f init = function
   | [||] -> init
   | arr ->

@@ -59,8 +59,6 @@ val outputs : t -> (string * id) list
 val input_id : t -> int -> id
 (** Node id of the i-th primary input. *)
 
-val find_input : t -> string -> id option
-
 val simulate : t -> Bitvec.t array -> Bitvec.t array
 (** [simulate t ins] evaluates the network on one pattern set per input
     (all widths equal) and returns one pattern set per output, in output

@@ -61,8 +61,6 @@ let mux s a b =
 
 let equal a b = a.n = b.n && Bitvec.equal a.bits b.bits
 
-let count_ones t = Bitvec.popcount t.bits
-
 let cofactor t i v =
   if i < 0 || i >= t.n then invalid_arg "Truth_table.cofactor";
   let r = create t.n in

@@ -31,7 +31,6 @@ val maj3 : t -> t -> t -> t
 val mux : t -> t -> t -> t
 
 val equal : t -> t -> bool
-val count_ones : t -> int
 
 val cofactor : t -> int -> bool -> t
 (** [cofactor t i v] fixes variable [i] to [v]; the result still ranges over

@@ -124,8 +124,6 @@ let set_gauge g v =
     g.g_set <- true
   end
 
-let gauge_value g = g.g_value
-
 let observe_into h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;

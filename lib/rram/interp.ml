@@ -113,5 +113,3 @@ let run_on ~devices ?trace (program : Program.t) inputs =
 let run ?defects ?trace (program : Program.t) inputs =
   let devices = crossbar ?defects program.Program.num_regs in
   run_on ~devices ?trace program inputs
-
-let run_vectors program vectors = List.map (run program) vectors

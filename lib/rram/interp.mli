@@ -68,5 +68,3 @@ val run :
     callback follows the contract above (1-based step index, executed step,
     noiseless post-step {!Device.observe} states) on a fresh ideal crossbar
     with [defects] pinned. *)
-
-val run_vectors : Program.t -> bool array list -> bool array list

@@ -118,7 +118,7 @@ let decode_synth json =
   let realization =
     match opt_string "realization" json with
     | None -> "maj"
-    | Some ("imp" | "maj") as r -> Option.get r
+    | Some r when Core.Rram_cost.realization_of_string r <> None -> r
     | Some other -> bad "unknown realization %S (expected imp or maj)" other
   in
   Synth

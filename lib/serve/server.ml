@@ -47,16 +47,12 @@ let reject code fmt =
   Printf.ksprintf (fun msg -> raise (Reject (code, msg))) fmt
 
 type sjob = {
-  sj_flows : (string * string) list;  (* (label, script) portfolio specs *)
-  sj_single : Core.Mig.t Flow.t option;  (* parsed flow when one script *)
-  sj_cost : string;
-  sj_jobs : int;
+  sj_job : Core.Mig_flows.job;
   sj_canon : Core.Mig.t;
   sj_net : Logic.Network.t;
   sj_arch : Core.Rram_cost.arch;
   sj_realization : Core.Rram_cost.realization;
   sj_verify : bool;
-  sj_flow_text : string;
   sj_fingerprint : string;
 }
 
@@ -79,71 +75,38 @@ let prepare ~pool_jobs (synth : Protocol.synth) =
         | Ok a -> a
         | Error e -> reject Protocol.Bad_request "%s" e)
   in
-  let effort =
-    Option.value synth.effort ~default:Core.Mig_opt.default_effort
+  let job =
+    match
+      Core.Mig_flows.resolve ?algorithm:synth.algorithm
+        ~scripts:(List.mapi (fun i s -> (Printf.sprintf "script%d" (i + 1), s)) synth.flows)
+        ?effort:synth.effort ?cost:synth.cost ~arch
+        ~jobs:(min (Option.value synth.jobs ~default:1) pool_jobs)
+        ()
+    with
+    | Ok job -> job
+    | Error e -> reject Protocol.Bad_request "%s" e
   in
-  let labeled =
-    match (synth.flows, synth.algorithm) with
-    | [], None | [], Some "" -> (
-        match Core.Mig_flows.canonical_script ~effort "steps" with
-        | Some s -> [ ("steps", s) ]
-        | None -> assert false)
-    | [], Some alg -> (
-        match Core.Mig_flows.canonical_script ~effort alg with
-        | Some s -> [ (alg, s) ]
-        | None ->
-            reject Protocol.Bad_request "unknown algorithm %S (expected %s)" alg
-              (String.concat ", " Core.Mig_flows.canonical_names))
-    | flows, None ->
-        List.mapi (fun i s -> (Printf.sprintf "script%d" (i + 1), s)) flows
-    | _ :: _, Some _ -> assert false (* the codec rejects this *)
-  in
-  let parsed =
-    List.map
-      (fun (label, s) ->
-        match Core.Mig_flows.parse ~arch s with
-        | Ok flow -> (label, s, flow)
-        | Error e ->
-            reject Protocol.Bad_request "flow %s: %s" label
-              (Format.asprintf "%a" Flow.Script.pp_error e))
-      labeled
-  in
-  let cost = Option.value synth.cost ~default:Core.Mig_flows.default_cost in
-  let cost_names = List.map fst (Core.Mig_flows.costs ()) in
-  if not (List.mem cost cost_names) then
-    reject Protocol.Bad_request "unknown cost %S (expected one of %s)" cost
-      (String.concat ", " cost_names);
   let realization =
-    match synth.realization with
-    | "imp" -> Core.Rram_cost.Imp
-    | _ -> Core.Rram_cost.Maj
-  in
-  let flow_text =
-    match labeled with
-    | [ (_, s) ] -> s
-    | many ->
-        Printf.sprintf "portfolio(%s){%s}" cost
-          (String.concat " | " (List.map snd many))
+    match Core.Rram_cost.realization_of_string synth.realization with
+    | Some r -> r
+    | None ->
+        reject Protocol.Bad_request "unknown realization %S (expected imp or maj)"
+          synth.realization
   in
   let mig = Core.Mig_of_network.convert net in
   let canon, key =
-    Cache.canonical_key ~flow:flow_text
+    Cache.canonical_key ~flow:job.Core.Mig_flows.flow_text
       ~arch:(Core.Rram_cost.arch_to_string arch)
       ~realization:synth.realization ~verify:synth.verify mig
   in
   let job =
     {
-      sj_flows = List.map (fun (l, s, _) -> (l, s)) parsed;
-      sj_single =
-        (match parsed with [ (_, _, flow) ] -> Some flow | _ -> None);
-      sj_cost = cost;
-      sj_jobs = min (Option.value synth.jobs ~default:1) pool_jobs;
+      sj_job = job;
       sj_canon = canon;
       sj_net = net;
       sj_arch = arch;
       sj_realization = realization;
       sj_verify = synth.verify;
-      sj_flow_text = flow_text;
       sj_fingerprint = Cache.fingerprint key;
     }
   in
@@ -160,14 +123,7 @@ let execute job : outcome =
   try
     let optimized =
       Obs.with_span ~cat:"serve" "serve/synth" (fun () ->
-          match job.sj_single with
-          | Some flow -> Core.Mig_flows.run ~name:"serve" flow job.sj_canon
-          | None ->
-              let winner, _ =
-                Core.Mig_flows.portfolio ~arch:job.sj_arch ~jobs:job.sj_jobs
-                  ~cost:job.sj_cost job.sj_flows job.sj_canon
-              in
-              winner)
+          fst (Core.Mig_flows.optimize ~name:"serve" job.sj_job job.sj_canon))
     in
     if
       job.sj_verify
@@ -208,12 +164,9 @@ let execute job : outcome =
                   ("steps", Json.Int analytic.Core.Rram_cost.steps);
                 ] );
             ( "realization",
-              Json.String
-                (match job.sj_realization with
-                | Core.Rram_cost.Imp -> "imp"
-                | Core.Rram_cost.Maj -> "maj") );
+              Json.String (Core.Rram_cost.realization_to_string job.sj_realization) );
             ("arch", Json.String (Core.Rram_cost.arch_to_string job.sj_arch));
-            ("flow", Json.String job.sj_flow_text);
+            ("flow", Json.String job.sj_job.Core.Mig_flows.flow_text);
             ( "verified",
               if job.sj_verify then Json.Bool true else Json.String "skipped" );
             ("fingerprint", Json.String job.sj_fingerprint);

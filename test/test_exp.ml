@@ -106,7 +106,7 @@ let plim_tests =
             | Error e -> fail (name ^ ": " ^ e))
           [ "clip"; "cm150a"; "t481"; "rd53f2"; "xor5_d" ]);
     test_case "optimized MIGs compile correctly" `Quick (fun () ->
-        let mig = Core.Mig_opt.steps ~effort:6 (mig_of "cm162a") in
+        let mig = Core.Mig_opt.run ~effort:6 Core.Mig_opt.Steps (mig_of "cm162a") in
         let c = Rram.Plim.compile mig in
         match Rram.Plim.verify c.Rram.Plim.program mig with
         | Ok () -> ()

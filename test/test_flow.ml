@@ -134,6 +134,35 @@ let check_err script ~pos ~msg =
   Alcotest.(check int) ("position of " ^ script) pos e.Flow.Script.pos;
   Alcotest.(check string) ("message of " ^ script) msg e.Flow.Script.msg
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* Run the migsyn CLI; returns its exit code, stdout and stderr. *)
+let migsyn args =
+  let exe = "../bin/migsyn.exe" in
+  let capture () =
+    let path = Filename.temp_file "migsyn" ".out" in
+    (path, Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600)
+  in
+  let out, out_fd = capture () and err, err_fd = capture () in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd err_fd in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let read path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  let stdout = read out in
+  ((match status with Unix.WEXITED n -> n | _ -> -1), stdout, read err)
+
+let c17_path () =
+  if Sys.file_exists "examples/c17.bench" then "examples/c17.bench"
+  else "../examples/c17.bench"
+
 let parser_tests =
   let open Alcotest in
   [
@@ -195,11 +224,15 @@ let parser_tests =
         check_err "eliminate reshape" ~pos:10
           ~msg:"expected ';' between steps, found 'r'");
     test_case "the CLI error line format" `Quick (fun () ->
-        let e = parse_err "cycle(5){pushup}" in
+        let code, stdout, stderr =
+          migsyn [ "flow"; "--script"; "cycle(5){pushup}"; c17_path () ]
+        in
+        check int "exit 1" 1 code;
+        check string "nothing on stdout" "" stdout;
         check string "migsyn flow convention"
-          "migsyn flow: error: at byte 9: unknown pass 'pushup' (did you mean \
-           'push_up'?)"
-          (Format.asprintf "migsyn flow: error: %a" Flow.Script.pp_error e));
+          "migsyn flow: error: flow script1: at byte 9: unknown pass 'pushup' \
+           (did you mean 'push_up'?)\n"
+          stderr);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -387,14 +420,15 @@ let golden_nets () =
   ]
 
 let legacy_entry name =
-  match name with
-  | "area" -> Core.Mig_opt.area ?effort:None
-  | "depth" -> Core.Mig_opt.depth ?effort:None
-  | "rram-costs-imp" -> Core.Mig_opt.rram_costs Core.Rram_cost.Imp
-  | "rram-costs-maj" -> Core.Mig_opt.rram_costs Core.Rram_cost.Maj
-  | "steps" -> Core.Mig_opt.steps ?effort:None
-  | "bool-rewrite" -> Core.Mig_opt.boolean ?effort:None
-  | _ -> assert false
+  Core.Mig_opt.run
+    (match name with
+    | "area" -> Core.Mig_opt.Area
+    | "depth" -> Core.Mig_opt.Depth
+    | "rram-costs-imp" -> Core.Mig_opt.Rram_costs Core.Rram_cost.Imp
+    | "rram-costs-maj" -> Core.Mig_opt.Rram_costs Core.Rram_cost.Maj
+    | "steps" -> Core.Mig_opt.Steps
+    | "bool-rewrite" -> Core.Mig_opt.Boolean
+    | _ -> assert false)
 
 let tuple6 = Alcotest.(pair int (pair int (pair int (pair int (pair int int)))))
 let nest (a, b, c, d, e, f) = (a, (b, (c, (d, (e, f)))))
@@ -446,13 +480,8 @@ let experiment_tests =
     test_case "profile rows record flow name and script" `Quick (fun () ->
         let entry = Option.get (Io.Benchmarks.find "b9") in
         let flows =
-          Exp.Experiments.default_flows ~effort:1 ()
-          @ [
-              {
-                Exp.Experiments.flow_name = "custom/tiny";
-                script = "cycle(1){eliminate}; eliminate";
-              };
-            ]
+          Core.Mig_flows.default_portfolio ~effort:1 ()
+          @ [ ("custom/tiny", "cycle(1){eliminate}; eliminate") ]
         in
         let row = Exp.Experiments.profile_row ~flows entry in
         check int "one timed entry per flow" 6
@@ -478,6 +507,80 @@ let experiment_tests =
         | _ -> fail "profile_json is not an object");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The optimization front door: Mig_flows.resolve and the CLI's -a     *)
+(* ------------------------------------------------------------------ *)
+
+let resolve_err ?algorithm ?scripts ?effort ?cost () =
+  match Core.Mig_flows.resolve ?algorithm ?scripts ?effort ?cost () with
+  | Ok _ -> Alcotest.fail "expected a resolve error"
+  | Error e -> e
+
+let resolve_tests =
+  let open Alcotest in
+  [
+    test_case "a resolve error names what is wrong" `Quick (fun () ->
+        let named what e = check bool (what ^ " named in: " ^ e) true (contains ~sub:what e) in
+        named "\"rram-maj\"" (resolve_err ~algorithm:"rram-maj" ());
+        named "rram-costs-maj" (resolve_err ~algorithm:"rram-maj" ());
+        named "flow bad:"
+          (resolve_err ~scripts:[ ("good", "push_up"); ("bad", "cycle(oops") ] ());
+        named "\"bogus\"" (resolve_err ~scripts:[ ("s", "push_up") ] ~cost:"bogus" ());
+        named "mutually exclusive"
+          (resolve_err ~algorithm:"area" ~scripts:[ ("s", "push_up") ] ());
+        named "effort" (resolve_err ~algorithm:"steps" ~effort:0 ()));
+    test_case "every canonical name resolves to its script" `Quick (fun () ->
+        List.iter
+          (fun name ->
+            match Core.Mig_flows.resolve ~algorithm:name ~effort:3 () with
+            | Error e -> fail e
+            | Ok job ->
+                check string name
+                  (Option.get (Core.Mig_flows.canonical_script ~effort:3 name))
+                  job.Core.Mig_flows.flow_text;
+                check (list string) "labelled by its name" [ name ]
+                  (List.map (fun e -> e.Flow.label) job.Core.Mig_flows.entrants))
+          Core.Mig_flows.canonical_names;
+        match Core.Mig_flows.resolve () with
+        | Ok job ->
+            check string "neither means steps"
+              (Option.get (Core.Mig_flows.canonical_script "steps"))
+              job.Core.Mig_flows.flow_text
+        | Error e -> fail e);
+    test_case "one entrant runs plain unless it races" `Quick (fun () ->
+        let mig = Core.Mig_of_network.convert (Io.Bench_format.parse_file (c17_path ())) in
+        let run race =
+          match Core.Mig_flows.resolve ~scripts:[ ("s", "push_up") ] ~jobs:1 ~race () with
+          | Ok job -> (job.Core.Mig_flows.flow_text, snd (Core.Mig_flows.optimize job mig))
+          | Error e -> fail e
+        in
+        let text, outcomes = run false in
+        check string "plain flow text" "push_up" text;
+        check int "no race outcomes" 0 (List.length outcomes);
+        let text, outcomes = run true in
+        check string "race flow text" "portfolio(weighted_maj){push_up}" text;
+        check int "one race outcome" 1 (List.length outcomes));
+    test_case "migsyn -a takes exactly the canonical names" `Quick (fun () ->
+        let code, _, _ =
+          migsyn [ "optimize"; "-a"; "rram-costs-maj"; "-e"; "1"; c17_path () ]
+        in
+        check int "rram-costs-maj succeeds" 0 code;
+        let ledger = Filename.concat (Filename.get_temp_dir_name ()) "migsyn-test-rejected.jsonl" in
+        if Sys.file_exists ledger then Sys.remove ledger;
+        let code, stdout, _ =
+          migsyn [ "optimize"; "-a"; "rram-maj"; "-e"; "1"; "--ledger"; ledger; c17_path () ]
+        in
+        check int "rram-maj is rejected" 1 code;
+        check string "nothing optimized" "" stdout;
+        check bool "no run ledgered" false (Sys.file_exists ledger));
+    test_case "migsyn optimize -o out.pla fails before any work" `Quick (fun () ->
+        let out = Filename.concat (Filename.get_temp_dir_name ()) "migsyn-test-out.pla" in
+        let code, stdout, _ = migsyn [ "optimize"; c17_path (); "-o"; out ] in
+        check int "exit 1" 1 code;
+        check string "empty stdout" "" stdout;
+        check bool "nothing written" false (Sys.file_exists out));
+  ]
+
 let () =
   Alcotest.run "flow"
     [
@@ -488,4 +591,5 @@ let () =
       ("guards", guard_tests);
       ("golden", golden_tests);
       ("experiments", experiment_tests);
+      ("resolve", resolve_tests);
     ]

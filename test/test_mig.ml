@@ -367,7 +367,7 @@ let optimizer_tests =
         done;
         ignore (Core.Mig.add_po mig !acc);
         let before = Core.Rram_cost.of_mig Core.Rram_cost.Maj mig in
-        let optimized = Core.Mig_opt.depth ~effort:10 mig in
+        let optimized = Core.Mig_opt.run ~effort:10 Core.Mig_opt.Depth mig in
         let after = Core.Rram_cost.of_mig Core.Rram_cost.Maj optimized in
         check bool "fewer steps" true (after.Core.Rram_cost.steps < before.Core.Rram_cost.steps);
         check_equiv "equivalent" mig optimized);
@@ -381,7 +381,7 @@ let optimizer_tests =
         done;
         ignore (Core.Mig.add_po mig !acc);
         let lv_before = Core.Mig_levels.compute mig in
-        let optimized = Core.Mig_opt.steps ~effort:10 mig in
+        let optimized = Core.Mig_opt.run ~effort:10 Core.Mig_opt.Steps mig in
         let lv_after = Core.Mig_levels.compute optimized in
         check bool "fewer complement levels" true
           (Core.Mig_levels.num_levels_with_compl lv_after
@@ -396,7 +396,7 @@ let optimizer_tests =
         let a = Core.Mig.maj mig x y u in
         let b = Core.Mig.maj mig x y v in
         ignore (Core.Mig.add_po mig (Core.Mig.maj mig a b z));
-        let optimized = Core.Mig_opt.area ~effort:5 mig in
+        let optimized = Core.Mig_opt.run ~effort:5 Core.Mig_opt.Area mig in
         check bool "size reduced" true (Core.Mig.size optimized < Core.Mig.size mig);
         check_equiv "equivalent" mig optimized);
   ]

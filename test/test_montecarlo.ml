@@ -14,7 +14,7 @@ let c17 () =
   Io.Bench_format.parse_file path
 
 let compiled_c17 () =
-  let mig = Core.Mig_opt.steps ~effort:2 (Core.Mig_of_network.convert (c17 ())) in
+  let mig = Core.Mig_opt.run ~effort:2 Core.Mig_opt.Steps (Core.Mig_of_network.convert (c17 ())) in
   let r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
   (r.Rram.Compile_mig.program, Core.Mig_sim.eval mig)
 
@@ -74,7 +74,7 @@ let prng_tests =
 (* Variation device model                                              *)
 (* ------------------------------------------------------------------ *)
 
-let is_error = function Error _ -> true | Ok () -> false
+let is_error = function Error _ -> true | Ok _ -> false
 
 let variation_tests =
   let open Alcotest in

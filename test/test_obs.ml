@@ -12,7 +12,7 @@ module Json = Obs.Json
 let run_workload () =
   let net = Logic.Funcgen.full_adder () in
   let mig = Core.Mig_of_network.convert net in
-  let optimized = Core.Mig_opt.area ~effort:4 mig in
+  let optimized = Core.Mig_opt.run ~effort:4 Core.Mig_opt.Area mig in
   let compiled = Rram.Compile_mig.compile Core.Rram_cost.Maj optimized in
   let program = compiled.Rram.Compile_mig.program in
   List.iter
@@ -180,7 +180,9 @@ let obs_tests =
         List.iter
           (fun net ->
             Obs.reset ();
-            ignore (Core.Mig_opt.area ~effort:6 (Core.Mig_of_network.convert net));
+            ignore
+              (Core.Mig_opt.run ~effort:6 Core.Mig_opt.Area
+                 (Core.Mig_of_network.convert net));
             let traj = Obs.samples (Obs.series "mig.opt/area/trajectory") in
             Alcotest.(check bool) "at least initial + one cycle" true (List.length traj >= 2);
             let sizes = List.map (fun s -> List.assoc "size" s) traj in

@@ -266,7 +266,9 @@ let baseline_tests =
       test_case "MAJ-MIG beats sequential BDD on steps" `Quick (fun () ->
           (* the headline comparison, in miniature *)
           let net = Funcgen.rd 7 3 in
-          let mig = Core.Mig_opt.steps ~effort:8 (Core.Mig_of_network.convert net) in
+          let mig =
+            Core.Mig_opt.run ~effort:8 Core.Mig_opt.Steps (Core.Mig_of_network.convert net)
+          in
           let mig_r = Rram.Compile_mig.compile Core.Rram_cost.Maj mig in
           let bdd_r =
             Rram.Compile_bdd.compile ~mode:`Sequential (Bdd_lib.Bdd_of_network.build net)
@@ -599,7 +601,7 @@ let nonideal_device_tests =
 
 let fault_reference_setup () =
   let net = Funcgen.rd 5 3 in
-  let mig = Core.Mig_opt.steps ~effort:8 (Core.Mig_of_network.convert net) in
+  let mig = Core.Mig_opt.run ~effort:8 Core.Mig_opt.Steps (Core.Mig_of_network.convert net) in
   (mig, Core.Mig_sim.eval mig)
 
 (* A single stuck-at fault that flips at least one output on some vector. *)

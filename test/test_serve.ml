@@ -459,6 +459,45 @@ let e2e_tests =
               Serve.Client.close c)
         in
         ());
+    test_case "flow text and fingerprint are pinned per request kind" `Quick
+      (fun () ->
+        (* flow texts and fingerprints of c17 requests, captured from the
+           daemon before its requests went through Mig_flows.resolve: the
+           resolver must expand, label and join them byte for byte *)
+        let s1 = "push_up; omega_i; push_up" and s2 = "cycle(2){omega_i3; push_up}" in
+        let cases =
+          [
+            ( synth_op ~algorithm:"steps" ~effort:2 (P.File (c17_path ())),
+              Core.Mig_flows.resolve ~algorithm:"steps" ~effort:2 (),
+              "cycle(2){push_up; omega_i3; omega_i; push_up}; push_up",
+              "fabac57d4361b0e7a4ded6ae1f45b818" );
+            ( synth_op ~flows:[ s1 ] (P.File (c17_path ())),
+              Core.Mig_flows.resolve ~scripts:[ ("script1", s1) ] (),
+              s1,
+              "19b56e6c68d54846b5c5068375f96dfb" );
+            ( synth_op ~flows:[ s1; s2 ] ~cost:"size" (P.File (c17_path ())),
+              Core.Mig_flows.resolve
+                ~scripts:[ ("script1", s1); ("script2", s2) ]
+                ~cost:"size" (),
+              "portfolio(size){push_up; omega_i; push_up | cycle(2){omega_i3; push_up}}",
+              "7cf60ae9b846cd96f4291bd82259bc18" );
+          ]
+        in
+        let (), _ =
+          with_server (fun path ->
+              let c = Serve.Client.connect path in
+              List.iter
+                (fun (op, job, flow, fingerprint) ->
+                  (match job with
+                  | Ok job -> check string "resolved flow text" flow job.Core.Mig_flows.flow_text
+                  | Error e -> fail e);
+                  let r = Json.member "result" (Serve.Client.rpc c (encode op)) in
+                  check string "response flow" flow (member_str "flow" r);
+                  check string "fingerprint" fingerprint (member_str "fingerprint" r))
+                cases;
+              Serve.Client.close c)
+        in
+        ());
     test_case "malformed input gets structured errors, daemon survives" `Quick
       (fun () ->
         let (), summary =
